@@ -2,7 +2,7 @@
 
 Each Monte Carlo trial draws the per-sector energy statistic directly in
 beamspace and compares it to the fixed threshold; the empirical false-alarm
-and miss rates should land within a few binomial half-widths of the
+and miss rates should land within a few Wilson half-widths of the
 closed-form values. The trial streams are counter-based, so rerunning with
 the same seed reproduces every digit.
 

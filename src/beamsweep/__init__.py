@@ -35,8 +35,6 @@ from .montecarlo import (
     McEstimate,
     estimate_errors,
     retry_seed,
-    simulate_statistic,
-    trial_stream,
 )
 from .optimizer import SweepCurve, SweepEntry, sweep_sectors
 from .presets import fig2_config, fig3_config
@@ -74,9 +72,7 @@ __all__ = [
     "pinsker_lower_bound",
     "reg_lower_gamma",
     "retry_seed",
-    "simulate_statistic",
     "sweep_sectors",
     "total_error",
-    "trial_stream",
     "watt_to_dbm",
 ]

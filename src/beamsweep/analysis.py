@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.special import gammaincc
+
 from .core import (
     ScenarioConfig,
     h0_threshold_factor,
@@ -19,7 +21,7 @@ from .core import (
     make_link_budget,
     make_sweep_plan,
 )
-from .specfun import reg_lower_gamma
+from .specfun import ConvergenceError, reg_lower_gamma
 
 
 @dataclass(frozen=True)
@@ -49,10 +51,20 @@ def _check_point(l_s: float, phi_w: float) -> None:
 def false_alarm(l_s: float, phi_w: float) -> float:
     """Probability of declaring a transmission when only noise is present.
 
-    Equals 1 - P(l_s, l_s ln(1+phi)(1+1/phi)).
+    Equals Q(l_s, l_s ln(1+phi)(1+1/phi)), the regularized upper incomplete
+    gamma function, evaluated directly so tiny values keep their relative
+    accuracy instead of cancelling in 1 - P.
     """
     _check_point(l_s, phi_w)
-    return 1.0 - reg_lower_gamma(l_s, l_s * h0_threshold_factor(phi_w))
+    x = l_s * h0_threshold_factor(phi_w)
+    if x == l_s * h1_threshold_factor(phi_w):
+        # SNR below double resolution: both tests share one threshold and one
+        # law, so alpha = 1 - beta exactly and xi = 1 marks the blind detector.
+        return 1.0 - reg_lower_gamma(l_s, x)
+    alpha = float(gammaincc(l_s, x))
+    if not math.isfinite(alpha):
+        raise ConvergenceError(f"gammaincc returned {alpha} at l_s={l_s}, phi_w={phi_w}")
+    return alpha
 
 
 def miss_detection(l_s: float, phi_w: float) -> float:

@@ -19,6 +19,7 @@ import argparse
 import math
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 
 from . import presets
@@ -239,10 +240,22 @@ def _fmt(value) -> str:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
+    # A unique temp file in the target directory, so concurrent runs writing
+    # the same output never share one and the final rename stays atomic.
+    fd, tmp = tempfile.mkstemp(
+        dir=os.path.dirname(path) or ".", prefix=f"{os.path.basename(path)}.", suffix=".tmp"
+    )
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        # mkstemp creates the file private; give it the permissions open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _csv(header: str, rows: list[list], trailer: str | None = None) -> str:

@@ -3,12 +3,14 @@
 Simulates the energy test directly in the one-dimensional beamspace
 projection: the decision statistic depends on the channel only through its
 norm, so each trial needs l_sector complex Gaussian samples rather than an
-antenna-sized vector, and is exact in distribution.
+antenna-sized vector, and is exact in distribution. Half the squared modulus
+of a unit complex Gaussian is Exp(1), so each sample's normalized energy is
+drawn directly as -log1p(-U) from one uniform U.
 
 Determinism contract: every trial owns a fixed window of a counter-based
-(Philox) stream keyed by (seed, hypothesis), and Gaussians come from the
-inverse normal CDF so the word consumption per trial is constant. Results
-are therefore bit-identical for any chunking or worker schedule.
+(Philox) stream keyed by (seed, hypothesis), and each sample consumes exactly
+one uniform, so the word consumption per trial is constant. Results are
+therefore bit-identical for any chunking.
 """
 
 from __future__ import annotations
@@ -18,14 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 from .core import h0_threshold_factor
 
-# Half a grid step of the 53-bit uniform lattice: keeps ndtri inputs in (0, 1).
-_HALF_STEP = 2.0 ** -54
-_CI_Z = 1.96  # 95% normal-approximation binomial interval
-_DEFAULT_CHUNK = 1 << 16
+_CI_Z = 1.96  # 95% Wilson score interval
+# Uniforms drawn per chunk: bounds peak memory for any l_s.
+_CHUNK_ELEMENTS = 1 << 18
 # Fixed odd increment for the single reseeded retry, so retries reproduce too.
 RETRY_SEED_STEP = 0x9E3779B97F4A7C15
 
@@ -49,7 +49,7 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Empirical error probabilities with binomial confidence half-widths."""
+    """Empirical error probabilities with 95% Wilson score half-widths."""
 
     alpha_hat: float
     beta_hat: float
@@ -65,46 +65,23 @@ def retry_seed(seed: int) -> int:
 
 
 def _blocks_per_trial(l_s: int) -> int:
-    # 2*l_s uniforms per trial, rounded up to whole 4-word Philox blocks.
-    return (2 * l_s + 3) // 4
-
-
-def trial_stream(seed: int, under_h1: bool, trial_index: int, l_s: int) -> Generator:
-    """Generator positioned at the start of one trial's substream."""
-    key = np.array([seed, 1 if under_h1 else 0], dtype=np.uint64)
-    bits = Philox(key=key)
-    bits.advance(trial_index * _blocks_per_trial(l_s))
-    return Generator(bits)
+    # l_s uniforms per trial, rounded up to whole 4-word Philox blocks.
+    return (l_s + 3) // 4
 
 
 def _statistics(uniforms: np.ndarray, phi_w: float, under_h1: bool) -> np.ndarray:
-    """Energy statistics from one (trials, 2*l_s) block of uniform draws.
+    """Normalized energy statistics from one (trials, l_s) block of uniforms.
 
-    Shared by the scalar and batched paths so their float operation order is
-    identical.
+    Each sample's energy -log1p(-U) is computed in place, so ``uniforms`` is
+    overwritten. Under the noise-only hypothesis each statistic is a sum of
+    l_s unit exponentials (mean l_s); with the signal present the per-sample
+    variance grows to 1 + phi_w, which scales the sum.
     """
-    z = ndtri(uniforms + _HALF_STEP)
-    stats = 0.5 * np.sum(z * z, axis=1)
+    np.log1p(np.negative(uniforms, out=uniforms), out=uniforms)
+    stats = -uniforms.sum(axis=1)
     if under_h1:
-        stats = stats * (1.0 + phi_w)
+        stats *= 1.0 + phi_w
     return stats
-
-
-def simulate_statistic(
-    l_s: int, phi_w: float, under_h1: bool, rng_stream: Generator
-) -> float:
-    """Draw one normalized energy statistic T / (gain * noise).
-
-    Under the noise-only hypothesis the statistic is chi-squared with 2*l_s
-    degrees of freedom scaled by 1/2 (mean l_s); with the signal present the
-    per-sample variance grows to 1 + phi_w.
-    """
-    if l_s < 1:
-        raise ValueError(f"l_s must be a positive integer, got {l_s}")
-    if not (math.isfinite(phi_w) and phi_w >= 0.0):
-        raise ValueError(f"phi_w must be finite and >= 0, got {phi_w}")
-    uniforms = rng_stream.random(2 * l_s).reshape(1, -1)
-    return float(_statistics(uniforms, phi_w, under_h1)[0])
 
 
 def _simulate_batch(
@@ -113,22 +90,34 @@ def _simulate_batch(
     under_h1: bool,
     seed: int,
     trials: int,
-    chunk: int = _DEFAULT_CHUNK,
+    chunk: int | None = None,
 ) -> np.ndarray:
-    """Statistics for trials [0, trials), independent of the chunk size."""
+    """Statistics for trials [0, trials), independent of the chunk size.
+
+    ``chunk`` is the number of trials per chunk; by default a chunk holds
+    about _CHUNK_ELEMENTS uniforms.
+    """
     blocks = _blocks_per_trial(l_s)
     stride = 4 * blocks
+    if chunk is None:
+        chunk = max(1, _CHUNK_ELEMENTS // stride)
     key = np.array([seed, 1 if under_h1 else 0], dtype=np.uint64)
     out = np.empty(trials)
-    start = 0
-    while start < trials:
+    buffer = np.empty((min(chunk, trials), stride))
+    for start in range(0, trials, chunk):
         n = min(chunk, trials - start)
         bits = Philox(key=key)
         bits.advance(start * blocks)
-        uniforms = Generator(bits).random((n, stride))[:, : 2 * l_s]
+        uniforms = Generator(bits).random(out=buffer[:n])[:, :l_s]
         out[start : start + n] = _statistics(uniforms, phi_w, under_h1)
-        start += n
     return out
+
+
+def _wilson_halfwidth(p_hat: float, n: int) -> float:
+    """Half-width of the Wilson score interval; positive even at p_hat = 0 or 1."""
+    z2 = _CI_Z * _CI_Z
+    spread = p_hat * (1.0 - p_hat) / n + z2 / (4.0 * n * n)
+    return _CI_Z / (1.0 + z2 / n) * math.sqrt(spread)
 
 
 def estimate_errors(phi_w: float, mc: McConfig) -> McEstimate:
@@ -155,6 +144,6 @@ def estimate_errors(phi_w: float, mc: McConfig) -> McEstimate:
         beta_hat=beta_hat,
         xi_hat=alpha_hat + beta_hat,
         trials=mc.trials,
-        ci_halfwidth_alpha=_CI_Z * math.sqrt(alpha_hat * (1.0 - alpha_hat) / mc.trials),
-        ci_halfwidth_beta=_CI_Z * math.sqrt(beta_hat * (1.0 - beta_hat) / mc.trials),
+        ci_halfwidth_alpha=_wilson_halfwidth(alpha_hat, mc.trials),
+        ci_halfwidth_beta=_wilson_halfwidth(beta_hat, mc.trials),
     )

@@ -38,3 +38,13 @@ def log_gamma_reference(a, dps: int = 50):
     """ln Gamma(a) at ``dps`` decimal digits; returns an mpf."""
     with mp.workdps(dps):
         return mp.loggamma(mpf(a))
+
+
+def reg_upper_gamma_reference(a, x, dps: int = 50):
+    """Q(a, x) = 1 - P(a, x) by mpmath's own upper incomplete gamma.
+
+    Evaluated directly rather than as 1 - P, so the result keeps ``dps``
+    significant digits when Q is far below 1e-16; returns an mpf.
+    """
+    with mp.workdps(dps):
+        return mp.gammainc(mpf(a), mpf(x), mp.inf, regularized=True)

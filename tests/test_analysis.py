@@ -12,7 +12,15 @@ from beamsweep.analysis import (
     pinsker_lower_bound,
     total_error,
 )
-from beamsweep.core import ScenarioConfig, make_link_budget, make_sweep_plan, path_loss
+from beamsweep.core import (
+    ScenarioConfig,
+    h0_threshold_factor,
+    make_link_budget,
+    make_sweep_plan,
+    path_loss,
+)
+
+from oracles import reg_upper_gamma_reference
 
 # Frozen from the extended-precision series reference (tests/oracles.py):
 # alpha(8, 0.5) = 1 - P(8, 8 ln(1.5) * 3), beta(8, 0.5) = P(8, 16 ln(1.5)).
@@ -72,6 +80,22 @@ class TestErrorProbabilities:
         for func in (false_alarm, miss_detection, total_error):
             with pytest.raises(ValueError):
                 func(l_s, phi)
+
+
+class TestFalseAlarmTail:
+    """alpha is an upper tail: it must be right in relative terms when tiny.
+
+    At (160, 10) alpha is about 7.58e-49, which 1 - P rounds to 0.
+    """
+
+    @pytest.mark.parametrize(
+        "l_s,phi",
+        [(l_s, phi) for l_s in L_GRID for phi in PHI_GRID]
+        + [(160.0, 1.0), (160.0, 10.0), (53.333333333333336, 100.0)],
+    )
+    def test_relative_accuracy_against_oracle(self, l_s, phi):
+        reference = reg_upper_gamma_reference(l_s, l_s * h0_threshold_factor(phi))
+        assert abs(false_alarm(l_s, phi) - reference) <= 1e-12 * reference
 
 
 class TestKlDivergence:

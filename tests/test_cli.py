@@ -1,10 +1,11 @@
 import math
 import os
+import threading
 from pathlib import Path
 
 import pytest
 
-from beamsweep import cli, presets
+from beamsweep import analysis, cli, presets
 from beamsweep.analysis import analyze_scenario
 from beamsweep.cli import (
     ConfigError,
@@ -286,10 +287,11 @@ class TestValidateCommand:
         cells = out.read_text().splitlines()[1].split(",")
         assert cells[0] == "10"  # floor(32 / 3)
 
-    def test_unconfirmable_cell_exits_three(self, tmp_path):
-        # 100 trials cannot resolve error probabilities near 1e-6: the
-        # empirical rates are 0 with zero-width intervals, so both the first
-        # run and the reseeded retry fail the three-half-width rule.
+    def test_unconfirmable_cell_exits_three(self, tmp_path, monkeypatch):
+        # A closed form that is genuinely wrong (alpha off by 0.1 at a cell
+        # where 1e4 trials resolve it to about 0.004) fails the first run and
+        # the reseeded retry alike.
+        monkeypatch.setattr(cli, "false_alarm", lambda l_s, phi_w: 0.35)
         out = tmp_path / "val.csv"
         code = main(
             [
@@ -299,15 +301,39 @@ class TestValidateCommand:
                 "--set",
                 "l_s=1",
                 "--set",
-                "phi_w=1e6",
+                "phi_w=1",
                 "--trials",
-                "100",
+                "10000",
             ]
         )
         assert code == 3
         cells = out.read_text().splitlines()[1].split(",")
         assert cells[4] == "true"  # retried
+        assert float(cells[5]) == 0.35  # the patched closed form
         assert cells[-1] == "false"
+
+    def test_rare_event_cell_passes_without_retry(self, tmp_path):
+        # alpha and beta are near 1e-48, so no event occurs in 20,000 trials;
+        # the interval must stay open rather than collapse to zero width.
+        out = tmp_path / "val.csv"
+        code = main(
+            [
+                "validate",
+                "--out",
+                str(out),
+                "--set",
+                "l_s=160",
+                "--set",
+                "phi_w=10",
+                "--trials",
+                "20000",
+            ]
+        )
+        assert code == 0
+        cells = out.read_text().splitlines()[1].split(",")
+        assert cells[4] == "false"  # retried
+        assert cells[6] == cells[9] == "0"  # alpha_hat, beta_hat
+        assert cells[-1] == "true"
 
     def test_mixing_config_and_explicit_cells_fails(self, tmp_path, capsys):
         code = main(
@@ -359,6 +385,52 @@ class TestReproCommand:
         assert main(["repro", "fig9", "--out", str(tmp_path / "x")]) == 1
 
 
+class TestWriteAtomic:
+    def test_leaves_only_the_output(self, tmp_path):
+        out = tmp_path / "curve.csv"
+        assert main(["sweep-m", "--config", FIG3_CFG, "--out", str(out)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_target_in_current_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cli._write_atomic("out.csv", "a,b\n")
+        assert (tmp_path / "out.csv").read_text() == "a,b\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    def test_failed_write_removes_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("synthetic rename failure")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        with pytest.raises(OSError, match="synthetic"):
+            cli._write_atomic(str(tmp_path / "out.csv"), "a,b\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_concurrent_writers_do_not_collide(self, tmp_path):
+        out = str(tmp_path / "out.csv")
+        texts = ["first\n" * 1000, "second\n" * 1000]
+        errors = []
+
+        def write(text):
+            try:
+                for _ in range(50):
+                    cli._write_atomic(out, text)
+            except OSError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=write, args=(t,)) for t in texts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert (tmp_path / "out.csv").read_text() in texts
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
 class TestExitCodes:
     def test_convergence_failure_maps_to_two(self, tmp_path, monkeypatch, capsys):
         def explode(cfg):
@@ -368,6 +440,13 @@ class TestExitCodes:
         code = main(["sweep-m", "--config", FIG3_CFG, "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "synthetic non-convergence" in capsys.readouterr().err
+
+    def test_non_finite_alpha_maps_to_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "gammaincc", lambda a, x: math.nan)
+        out = str(tmp_path / "x.csv")
+        code = main(["analyze", "--config", FIG3_CFG, "--set", "m=8", "--out", out])
+        assert code == 2
+        assert "gammaincc returned nan" in capsys.readouterr().err
 
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["frobnicate"]) == 1

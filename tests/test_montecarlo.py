@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,11 +9,16 @@ from beamsweep.montecarlo import (
     McConfig,
     McEstimate,
     _simulate_batch,
+    _statistics,
     estimate_errors,
     retry_seed,
-    simulate_statistic,
-    trial_stream,
 )
+
+Z = 1.96
+
+
+def wilson_halfwidth(p_hat, n):
+    return Z / (1 + Z * Z / n) * math.sqrt(p_hat * (1 - p_hat) / n + Z * Z / (4 * n * n))
 
 
 class TestConfigValidation:
@@ -33,13 +39,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             estimate_errors(-1.0, mc)
 
-    def test_simulate_rejects_bad_inputs(self):
-        rng = trial_stream(1, False, 0, 2)
-        with pytest.raises(ValueError):
-            simulate_statistic(0, 1.0, False, rng)
-        with pytest.raises(ValueError):
-            simulate_statistic(2, -1.0, False, rng)
-
 
 class TestStatisticDistribution:
     @pytest.mark.parametrize("l_s", [1, 16])
@@ -57,9 +56,18 @@ class TestStatisticDistribution:
 
     def test_h1_is_scaled_h0_on_same_stream(self):
         phi = 0.7
-        s0 = simulate_statistic(8, phi, False, trial_stream(5, False, 3, 8))
-        s1 = simulate_statistic(8, phi, True, trial_stream(5, False, 3, 8))
-        assert s1 == s0 * (1.0 + phi)
+        uniforms = np.random.Generator(np.random.Philox(5)).random((64, 8))
+        s0 = _statistics(uniforms.copy(), phi, False)  # overwrites its input
+        s1 = _statistics(uniforms.copy(), phi, True)
+        assert np.array_equal(s1, s0 * (1.0 + phi))
+
+    def test_h0_variance(self):
+        # A sum of l_s unit exponentials has variance l_s.
+        l_s, trials = 16, 100_000
+        stats = _simulate_batch(l_s, 1.0, False, seed=13, trials=trials)
+        # Standard error of the sample variance: sqrt((mu4 - sigma^4) / n).
+        tol = 3.0 * math.sqrt((6.0 * l_s + 2.0 * l_s * l_s) / trials)
+        assert abs(stats.var() - l_s) <= tol
 
     def test_statistics_positive(self):
         stats = _simulate_batch(2, 1.0, False, seed=3, trials=1000)
@@ -72,7 +80,8 @@ class TestDeterminism:
         mc = McConfig(trials=20_000, seed=123, l_sector_int=4)
         assert estimate_errors(1.0, mc) == estimate_errors(1.0, mc)
 
-    @pytest.mark.parametrize("l_s", [1, 3, 5, 16])
+    # At l_s = 999 the default chunk holds 262 trials, so it splits too.
+    @pytest.mark.parametrize("l_s", [1, 3, 5, 16, 999])
     def test_chunking_cannot_change_results(self, l_s):
         kw = dict(l_s=l_s, phi_w=0.5, under_h1=True, seed=9, trials=501)
         base = _simulate_batch(**kw)
@@ -80,11 +89,21 @@ class TestDeterminism:
         assert np.array_equal(base, _simulate_batch(**kw, chunk=500))
 
     @pytest.mark.parametrize("l_s", [1, 3, 5, 16])
-    def test_scalar_path_matches_batch(self, l_s):
+    def test_trial_independent_of_trial_count(self, l_s):
         batch = _simulate_batch(l_s, 0.5, True, seed=9, trials=200)
         for trial in (0, 7, 101, 199):
-            rng = trial_stream(9, True, trial, l_s)
-            assert simulate_statistic(l_s, 0.5, True, rng) == batch[trial]
+            alone = _simulate_batch(l_s, 0.5, True, seed=9, trials=trial + 1)
+            assert alone[trial] == batch[trial]
+
+    def test_peak_memory_bounded_at_long_dwell(self):
+        # Chunks of 65,536 trials (65,536 x 320 doubles) peaked near 482 MB.
+        tracemalloc.start()
+        try:
+            _simulate_batch(160, 1.0, False, seed=1, trials=65_536)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
     def test_hypotheses_use_distinct_streams(self):
         h0 = _simulate_batch(2, 1.0, False, seed=9, trials=50)
@@ -129,8 +148,8 @@ class TestEstimates:
         assert est.xi_hat == est.alpha_hat + est.beta_hat
         assert est.trials == 5000
         assert est.ci_halfwidth_alpha == pytest.approx(
-            1.96 * math.sqrt(est.alpha_hat * (1 - est.alpha_hat) / 5000), abs=1e-15
+            wilson_halfwidth(est.alpha_hat, 5000), abs=1e-15
         )
         assert est.ci_halfwidth_beta == pytest.approx(
-            1.96 * math.sqrt(est.beta_hat * (1 - est.beta_hat) / 5000), abs=1e-15
+            wilson_halfwidth(est.beta_hat, 5000), abs=1e-15
         )
