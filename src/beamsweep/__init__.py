@@ -9,6 +9,7 @@ closed forms by deterministic Monte Carlo simulation.
 """
 
 from .analysis import (
+    ConvergenceError,
     DetectionAnalysis,
     analyze_scenario,
     false_alarm,
@@ -16,6 +17,7 @@ from .analysis import (
     kl_divergence_exact,
     miss_detection,
     pinsker_lower_bound,
+    reg_lower_gamma,
     total_error,
 )
 from .core import (
@@ -36,22 +38,19 @@ from .montecarlo import (
     estimate_errors,
     retry_seed,
 )
-from .optimizer import SweepCurve, SweepEntry, sweep_sectors
+from .optimizer import SweepCurve, sweep_sectors
 from .presets import fig2_config, fig3_config
-from .specfun import ConvergenceError, GammaEval, gamma_eval, log_gamma, reg_lower_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
     "DetectionAnalysis",
-    "GammaEval",
     "LinkBudget",
     "McConfig",
     "McEstimate",
     "ScenarioConfig",
     "SweepCurve",
-    "SweepEntry",
     "SweepPlan",
     "analyze_scenario",
     "dbm_to_watt",
@@ -59,12 +58,10 @@ __all__ = [
     "false_alarm",
     "fig2_config",
     "fig3_config",
-    "gamma_eval",
     "h0_threshold_factor",
     "h1_threshold_factor",
     "kl_divergence_approx",
     "kl_divergence_exact",
-    "log_gamma",
     "make_link_budget",
     "make_sweep_plan",
     "miss_detection",

@@ -4,7 +4,9 @@ The optimal detector compares the beamformed energy statistic against a
 fixed threshold; under either hypothesis the statistic is a scaled
 chi-squared variable with 2*l_sector degrees of freedom, so both error
 probabilities reduce to regularized incomplete gamma evaluations in the
-normalized coordinates (l_sector, phi_w).
+normalized coordinates (l_sector, phi_w). Those come from scipy's
+``gammainc``/``gammaincc`` (DiDonato & Morris, ACM TOMS 12 (1986) 377), and a
+non-finite result raises ConvergenceError.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaincc
+from scipy.special import gammainc, gammaincc
 
 from .core import (
     ScenarioConfig,
@@ -21,13 +23,23 @@ from .core import (
     make_link_budget,
     make_sweep_plan,
 )
-from .specfun import ConvergenceError, reg_lower_gamma
+
+
+class ConvergenceError(RuntimeError):
+    """A special-function evaluation returned a non-finite value."""
 
 
 @dataclass(frozen=True)
 class DetectionAnalysis:
-    """Closed-form error probabilities and divergence bounds at one operating point."""
+    """Closed-form error probabilities and divergence bounds at one operating point.
 
+    The point is sector count ``m`` of a scenario, which fixes the normalized
+    coordinates ``l_sector`` and ``phi_w`` that every other field depends on.
+    """
+
+    m: int
+    l_sector: float
+    phi_w: float
     alpha: float
     beta: float
     xi: float
@@ -39,6 +51,26 @@ class DetectionAnalysis:
     def pinsker_vacuous(self) -> bool:
         """True when the lower bound is negative and therefore uninformative."""
         return self.pinsker_lb < 0.0
+
+
+def reg_lower_gamma(a: float, x: float) -> float:
+    """Regularized lower incomplete gamma function P(a, x) in [0, 1].
+
+    P(a, x) is the CDF at x of a unit-scale gamma distribution with shape a,
+    evaluated by ``scipy.special.gammainc``.
+
+    Raises:
+        ValueError: if a <= 0, x < 0, or either input is not finite.
+        ConvergenceError: if the evaluation is not finite.
+    """
+    if not (math.isfinite(a) and a > 0.0):
+        raise ValueError(f"reg_lower_gamma requires finite a > 0, got a={a}")
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError(f"reg_lower_gamma requires finite x >= 0, got x={x}")
+    p = float(gammainc(a, x))
+    if not math.isfinite(p):
+        raise ConvergenceError(f"gammainc returned {p} at a={a}, x={x}")
+    return p
 
 
 def _check_point(l_s: float, phi_w: float) -> None:
@@ -70,7 +102,8 @@ def false_alarm(l_s: float, phi_w: float) -> float:
 def miss_detection(l_s: float, phi_w: float) -> float:
     """Probability of declaring silence while the source transmits.
 
-    Equals P(l_s, l_s ln(1+phi)/phi).
+    Equals P(l_s, l_s ln(1+phi)/phi), a lower tail, so tiny values keep
+    their relative accuracy.
     """
     _check_point(l_s, phi_w)
     return reg_lower_gamma(l_s, l_s * h1_threshold_factor(phi_w))
@@ -139,6 +172,9 @@ def analyze_scenario(cfg: ScenarioConfig, m: int) -> DetectionAnalysis:
     beta = miss_detection(plan.l_sector, budget.phi_w)
     kl = kl_divergence_exact(plan.l_sector, budget.phi_w)
     return DetectionAnalysis(
+        m=m,
+        l_sector=plan.l_sector,
+        phi_w=budget.phi_w,
         alpha=alpha,
         beta=beta,
         xi=alpha + beta,

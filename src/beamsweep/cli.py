@@ -22,12 +22,20 @@ import sys
 import tempfile
 from dataclasses import dataclass
 
-from . import presets
-from .analysis import analyze_scenario, false_alarm, miss_detection
-from .core import ScenarioConfig, dbm_to_watt, make_link_budget, make_sweep_plan
+from .analysis import ConvergenceError, analyze_scenario, false_alarm, miss_detection
+from .core import ScenarioConfig, make_link_budget, make_sweep_plan
 from .montecarlo import McConfig, estimate_errors, retry_seed
 from .optimizer import sweep_sectors
-from .specfun import ConvergenceError
+from .presets import (
+    CANONICAL_ORDER,
+    CONFIG_KEYS,
+    INT_KEYS,
+    PRESET_VALUES,
+    REPRO_SWEEPS,
+    ConfigError,
+    build_scenario,
+    effective_values,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -37,22 +45,6 @@ EXIT_MC_FAIL = 3
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 42
 
-_FLOAT_KEYS = ("pa_dbm", "noise_dbm", "theta_t", "d_aw", "path_exp", "carrier_hz")
-_INT_KEYS = ("n_antennas", "l_total")
-_REQUIRED_KEYS = ("pa_dbm", "noise_dbm", "theta_t", "n_antennas", "l_total", "d_aw")
-_DEFAULT_VALUES = {"path_exp": 2.0, "carrier_hz": 2.4e9}
-_CANONICAL_ORDER = (
-    "pa_dbm",
-    "noise_dbm",
-    "theta_t",
-    "n_antennas",
-    "l_total",
-    "d_aw",
-    "path_exp",
-    "carrier_hz",
-)
-CONFIG_KEYS = frozenset(_CANONICAL_ORDER)
-
 SWEEP_HEADER = "m,l_sector,phi_w,alpha,beta,xi,kl_exact,pinsker_lb"
 ANALYZE_HEADER = (
     "m,l_sector,phi_w,alpha,beta,xi,kl_exact,kl_approx,pinsker_lb,pinsker_vacuous"
@@ -61,35 +53,6 @@ VALIDATE_HEADER = (
     "l_s,phi_w,trials,seed,retried,"
     "alpha,alpha_hat,ci_alpha,beta,beta_hat,ci_beta,xi,xi_hat,pass"
 )
-
-# Mirrors of the preset scenarios in config-file coordinates, used by `repro`
-# as the base values its parameter sweeps modify.
-PRESET_CONFIG_VALUES: dict[str, dict[str, float | int]] = {
-    "fig2": {
-        "pa_dbm": 30.0,
-        "noise_dbm": -50.0,
-        "theta_t": math.pi / 3.0,
-        "n_antennas": 128,
-        "l_total": 160,
-        "d_aw": 50.0,
-        "path_exp": 2.0,
-        "carrier_hz": 2.4e9,
-    },
-    "fig3": {
-        "pa_dbm": 10.0,
-        "noise_dbm": -50.0,
-        "theta_t": math.pi / 3.0,
-        "n_antennas": 128,
-        "l_total": 32,
-        "d_aw": 50.0,
-        "path_exp": 2.0,
-        "carrier_hz": 2.4e9,
-    },
-}
-
-
-class ConfigError(ValueError):
-    """A config file, override, or command combination failed validation."""
 
 
 @dataclass(frozen=True)
@@ -112,7 +75,7 @@ class RunSpec:
 
 def _parse_scalar(key: str, text: str, where: str = "") -> float | int:
     prefix = f"{where}: " if where else ""
-    if key in _INT_KEYS:
+    if key in INT_KEYS:
         try:
             return int(text)
         except ValueError:
@@ -149,29 +112,6 @@ def load_config_values(path: str) -> dict[str, float | int]:
     return values
 
 
-def effective_values(values: dict[str, float | int]) -> dict[str, float | int]:
-    """Fill in defaulted keys and verify the required ones are present."""
-    for key in _REQUIRED_KEYS:
-        if key not in values:
-            raise ConfigError(f"missing required key '{key}'")
-    return {**_DEFAULT_VALUES, **values}
-
-
-def build_scenario(values: dict[str, float | int]) -> ScenarioConfig:
-    """Construct a validated ScenarioConfig from config-file values."""
-    full = effective_values(values)
-    return ScenarioConfig(
-        pa_watt=dbm_to_watt(float(full["pa_dbm"])),
-        noise_watt=dbm_to_watt(float(full["noise_dbm"])),
-        theta_t=float(full["theta_t"]),
-        n_antennas=int(full["n_antennas"]),
-        l_total=int(full["l_total"]),
-        d_aw=float(full["d_aw"]),
-        path_exp=float(full["path_exp"]),
-        carrier_hz=float(full["carrier_hz"]),
-    )
-
-
 def parse_config(path: str) -> ScenarioConfig:
     """Load and validate a scenario config file."""
     return build_scenario(load_config_values(path))
@@ -180,7 +120,7 @@ def parse_config(path: str) -> ScenarioConfig:
 def dump_config_text(values: dict[str, float | int]) -> str:
     """Canonical config text that reparses to an identical scenario."""
     full = effective_values(values)
-    lines = [f"{key}={_fmt(full[key])}" for key in _CANONICAL_ORDER]
+    lines = [f"{key}={_fmt(full[key])}" for key in CANONICAL_ORDER]
     return "\n".join(lines) + "\n"
 
 
@@ -272,12 +212,15 @@ def _require_out(spec: RunSpec) -> str:
     return spec.output_path
 
 
-def _load_scenario_for(spec: RunSpec, raw: dict[str, str]) -> ScenarioConfig:
+def _load_scenario_for(
+    spec: RunSpec, raw: dict[str, str]
+) -> tuple[dict[str, float | int], ScenarioConfig]:
+    """The config values after --set overrides, and the scenario they build."""
     if not spec.config_path:
         raise ConfigError(f"command '{spec.command}' requires --config")
     values = load_config_values(spec.config_path)
     _apply_scenario_overrides(raw, values)
-    return build_scenario(values)
+    return values, build_scenario(values)
 
 
 def _sweep_rows(curve) -> list[list]:
@@ -293,10 +236,7 @@ def _sweep_rows(curve) -> list[list]:
 
 def _run_analyze(spec: RunSpec) -> int:
     raw = _split_overrides(spec.overrides)
-    if not spec.config_path:
-        raise ConfigError("command 'analyze' requires --config")
-    values = load_config_values(spec.config_path)
-    _apply_scenario_overrides(raw, values)
+    values, cfg = _load_scenario_for(spec, raw)
     m = 1
     if "m" in raw:
         text = raw.pop("m")
@@ -305,19 +245,16 @@ def _run_analyze(spec: RunSpec) -> int:
         except ValueError:
             raise ConfigError(f"--set: key 'm' expects an integer, got '{text}'") from None
     _reject_unknown(raw)
-    cfg = build_scenario(values)
     if spec.dump_config:
         sys.stdout.write(dump_config_text(values))
         if not spec.output_path:
             return EXIT_OK
     out = _require_out(spec)
-    plan = make_sweep_plan(cfg, m)
-    budget = make_link_budget(cfg, plan)
     result = analyze_scenario(cfg, m)
     row = [
-        m,
-        plan.l_sector,
-        budget.phi_w,
+        result.m,
+        result.l_sector,
+        result.phi_w,
         result.alpha,
         result.beta,
         result.xi,
@@ -332,7 +269,7 @@ def _run_analyze(spec: RunSpec) -> int:
 
 def _run_sweep(spec: RunSpec) -> int:
     raw = _split_overrides(spec.overrides)
-    cfg = _load_scenario_for(spec, raw)
+    _, cfg = _load_scenario_for(spec, raw)
     _reject_unknown(raw)
     out = _require_out(spec)
     curve = sweep_sectors(cfg)
@@ -342,7 +279,7 @@ def _run_sweep(spec: RunSpec) -> int:
 
 def _run_optimize(spec: RunSpec) -> int:
     raw = _split_overrides(spec.overrides)
-    cfg = _load_scenario_for(spec, raw)
+    _, cfg = _load_scenario_for(spec, raw)
     _reject_unknown(raw)
     out = _require_out(spec)
     curve = sweep_sectors(cfg)
@@ -361,9 +298,7 @@ def _validate_cells(spec: RunSpec, raw: dict[str, str]) -> list[tuple[int, float
                 "use --set m=... to pick sector counts"
             )
         m_list = _parse_list("m", raw.pop("m"), as_int=True) if "m" in raw else [1]
-        values = load_config_values(spec.config_path)
-        _apply_scenario_overrides(raw, values)
-        cfg = build_scenario(values)
+        _, cfg = _load_scenario_for(spec, raw)
         cells = []
         for m in m_list:
             plan = make_sweep_plan(cfg, m)
@@ -452,13 +387,13 @@ def _within_three_halfwidths(est, alpha: float, beta: float) -> bool:
 
 
 def _run_repro(spec: RunSpec) -> int:
-    if spec.preset not in PRESET_CONFIG_VALUES:
+    if spec.preset not in PRESET_VALUES:
         raise ConfigError(f"unknown preset '{spec.preset}'")
     out_dir = _require_out(spec)
     raw = _split_overrides(spec.overrides)
-    base = dict(PRESET_CONFIG_VALUES[spec.preset])
-    sweep_key, default_list = presets.REPRO_SWEEPS[spec.preset]
-    sweep_is_int = sweep_key in _INT_KEYS
+    base = dict(PRESET_VALUES[spec.preset])
+    sweep_key, default_list = REPRO_SWEEPS[spec.preset]
+    sweep_is_int = sweep_key in INT_KEYS
     if sweep_key in raw:
         sweep_values = _parse_list(sweep_key, raw.pop(sweep_key), as_int=sweep_is_int)
     else:
@@ -551,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help=f"base RNG seed (default {DEFAULT_SEED})")
 
     p = sub.add_parser("repro", help="shipped parameter studies, one CSV per curve")
-    p.add_argument("preset", choices=sorted(PRESET_CONFIG_VALUES))
+    p.add_argument("preset", choices=sorted(PRESET_VALUES))
     add_common(p, config=False)
 
     return parser

@@ -1,38 +1,16 @@
 """Exhaustive search for the sector count that minimizes the detection error.
 
-The feasible range [1, m_max] is at most a few hundred integers and the
+The feasible range [1, m_max] is at most a few thousand integers and the
 error curve is only empirically unimodal, so every candidate is evaluated
-rather than trusting a bracketing search.
+with ``analyze_scenario`` rather than trusting a bracketing search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import (
-    false_alarm,
-    kl_divergence_exact,
-    miss_detection,
-    pinsker_lower_bound,
-)
-from .core import ScenarioConfig, make_link_budget, make_sweep_plan
-
-
-@dataclass(frozen=True)
-class SweepEntry:
-    """Closed-form analysis at one sector count."""
-
-    m: int
-    l_sector: float
-    phi_w: float
-    alpha: float
-    beta: float
-    xi: float
-    kl_exact: float
-    pinsker_lb: float
-    # True when l_total is divisible by m, i.e. the Monte Carlo validator can
-    # check this exact operating point without flooring l_sector.
-    integer_samples: bool
+from .analysis import DetectionAnalysis, analyze_scenario
+from .core import ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -43,7 +21,7 @@ class SweepCurve:
     shorter physical sweep).
     """
 
-    entries: tuple[SweepEntry, ...]
+    entries: tuple[DetectionAnalysis, ...]
     m_star: int
     xi_star: float
 
@@ -55,30 +33,7 @@ def sweep_sectors(cfg: ScenarioConfig) -> SweepCurve:
         raise ValueError(
             f"no feasible sector count: floor(n_antennas * theta_t / 2) = {m_max}"
         )
-    entries = []
-    m_star = 0
-    xi_star = float("inf")
-    for m in range(1, m_max + 1):
-        plan = make_sweep_plan(cfg, m)
-        budget = make_link_budget(cfg, plan)
-        alpha = false_alarm(plan.l_sector, budget.phi_w)
-        beta = miss_detection(plan.l_sector, budget.phi_w)
-        xi = alpha + beta
-        kl = kl_divergence_exact(plan.l_sector, budget.phi_w)
-        entries.append(
-            SweepEntry(
-                m=m,
-                l_sector=plan.l_sector,
-                phi_w=budget.phi_w,
-                alpha=alpha,
-                beta=beta,
-                xi=xi,
-                kl_exact=kl,
-                pinsker_lb=pinsker_lower_bound(kl),
-                integer_samples=cfg.l_total % m == 0,
-            )
-        )
-        if xi < xi_star:
-            xi_star = xi
-            m_star = m
-    return SweepCurve(entries=tuple(entries), m_star=m_star, xi_star=xi_star)
+    entries = tuple(analyze_scenario(cfg, m) for m in range(1, m_max + 1))
+    # min keeps the first of equal values, i.e. the smallest m.
+    best = min(entries, key=lambda entry: entry.xi)
+    return SweepCurve(entries=entries, m_star=best.m, xi_star=best.xi)

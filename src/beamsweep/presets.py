@@ -1,4 +1,9 @@
-"""Built-in scenario presets for the shipped parameter studies.
+"""Scenario values in config-file coordinates and the shipped presets.
+
+A scenario is written as flat key=value pairs with powers in dBm;
+``build_scenario`` converts them to a ScenarioConfig at this boundary. The
+preset values below are the one copy that ``fig2_config``/``fig3_config``,
+``beamsweep repro`` and the tests read; ``configs/*.cfg`` must match them.
 
 Both presets share the array and geometry; they differ in transmit power and
 symbol budget. At the 50 m standoff they land in the two qualitative
@@ -14,38 +19,42 @@ import math
 
 from .core import ScenarioConfig, dbm_to_watt
 
+INT_KEYS = ("n_antennas", "l_total")
+_REQUIRED_KEYS = ("pa_dbm", "noise_dbm", "theta_t", "n_antennas", "l_total", "d_aw")
+_DEFAULT_VALUES = {"path_exp": 2.0, "carrier_hz": 2.4e9}
+CANONICAL_ORDER = (
+    "pa_dbm",
+    "noise_dbm",
+    "theta_t",
+    "n_antennas",
+    "l_total",
+    "d_aw",
+    "path_exp",
+    "carrier_hz",
+)
+CONFIG_KEYS = frozenset(CANONICAL_ORDER)
 
-def fig2_config() -> ScenarioConfig:
-    """Large symbol budget, strong transmitter: splitting sectors never helps."""
-    return ScenarioConfig(
-        pa_watt=dbm_to_watt(30.0),
-        noise_watt=dbm_to_watt(-50.0),
-        theta_t=math.pi / 3.0,
-        n_antennas=128,
-        l_total=160,
-        d_aw=50.0,
-        path_exp=2.0,
-        carrier_hz=2.4e9,
-    )
-
-
-def fig3_config() -> ScenarioConfig:
-    """Small symbol budget, weak transmitter: an interior sector count is optimal."""
-    return ScenarioConfig(
-        pa_watt=dbm_to_watt(10.0),
-        noise_watt=dbm_to_watt(-50.0),
-        theta_t=math.pi / 3.0,
-        n_antennas=128,
-        l_total=32,
-        d_aw=50.0,
-        path_exp=2.0,
-        carrier_hz=2.4e9,
-    )
-
-
-PRESET_BUILDERS = {
-    "fig2": fig2_config,
-    "fig3": fig3_config,
+PRESET_VALUES: dict[str, dict[str, float | int]] = {
+    "fig2": {
+        "pa_dbm": 30.0,
+        "noise_dbm": -50.0,
+        "theta_t": math.pi / 3.0,
+        "n_antennas": 128,
+        "l_total": 160,
+        "d_aw": 50.0,
+        "path_exp": 2.0,
+        "carrier_hz": 2.4e9,
+    },
+    "fig3": {
+        "pa_dbm": 10.0,
+        "noise_dbm": -50.0,
+        "theta_t": math.pi / 3.0,
+        "n_antennas": 128,
+        "l_total": 32,
+        "d_aw": 50.0,
+        "path_exp": 2.0,
+        "carrier_hz": 2.4e9,
+    },
 }
 
 # Parameter swept by `repro <preset>` and its default value list; override
@@ -54,3 +63,40 @@ REPRO_SWEEPS: dict[str, tuple[str, tuple[float, ...]]] = {
     "fig2": ("noise_dbm", (-50.0, -60.0)),
     "fig3": ("l_total", (32.0, 160.0)),
 }
+
+
+class ConfigError(ValueError):
+    """A config file, override, or command combination failed validation."""
+
+
+def effective_values(values: dict[str, float | int]) -> dict[str, float | int]:
+    """Fill in defaulted keys and verify the required ones are present."""
+    for key in _REQUIRED_KEYS:
+        if key not in values:
+            raise ConfigError(f"missing required key '{key}'")
+    return {**_DEFAULT_VALUES, **values}
+
+
+def build_scenario(values: dict[str, float | int]) -> ScenarioConfig:
+    """Construct a validated ScenarioConfig from config-file values."""
+    full = effective_values(values)
+    return ScenarioConfig(
+        pa_watt=dbm_to_watt(float(full["pa_dbm"])),
+        noise_watt=dbm_to_watt(float(full["noise_dbm"])),
+        theta_t=float(full["theta_t"]),
+        n_antennas=int(full["n_antennas"]),
+        l_total=int(full["l_total"]),
+        d_aw=float(full["d_aw"]),
+        path_exp=float(full["path_exp"]),
+        carrier_hz=float(full["carrier_hz"]),
+    )
+
+
+def fig2_config() -> ScenarioConfig:
+    """Large symbol budget, strong transmitter: splitting sectors never helps."""
+    return build_scenario(PRESET_VALUES["fig2"])
+
+
+def fig3_config() -> ScenarioConfig:
+    """Small symbol budget, weak transmitter: an interior sector count is optimal."""
+    return build_scenario(PRESET_VALUES["fig3"])

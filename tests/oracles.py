@@ -34,12 +34,6 @@ def reg_lower_gamma_reference(a, x, dps: int = 50):
         return total * mp.exp(-x + a * mp.log(x) - mp.loggamma(a))
 
 
-def log_gamma_reference(a, dps: int = 50):
-    """ln Gamma(a) at ``dps`` decimal digits; returns an mpf."""
-    with mp.workdps(dps):
-        return mp.loggamma(mpf(a))
-
-
 def reg_upper_gamma_reference(a, x, dps: int = 50):
     """Q(a, x) = 1 - P(a, x) by mpmath's own upper incomplete gamma.
 

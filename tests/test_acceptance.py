@@ -9,6 +9,7 @@ import math
 
 import pytest
 
+from beamsweep import reg_lower_gamma
 from beamsweep.analysis import (
     false_alarm,
     kl_divergence_approx,
@@ -26,7 +27,6 @@ from beamsweep.core import (
 from beamsweep.montecarlo import McConfig, estimate_errors, retry_seed
 from beamsweep.optimizer import sweep_sectors
 from beamsweep.presets import fig2_config, fig3_config
-from beamsweep.specfun import reg_lower_gamma
 
 from oracles import reg_lower_gamma_reference
 

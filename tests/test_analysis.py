@@ -15,12 +15,13 @@ from beamsweep.analysis import (
 from beamsweep.core import (
     ScenarioConfig,
     h0_threshold_factor,
+    h1_threshold_factor,
     make_link_budget,
     make_sweep_plan,
     path_loss,
 )
 
-from oracles import reg_upper_gamma_reference
+from oracles import reg_lower_gamma_reference, reg_upper_gamma_reference
 
 # Frozen from the extended-precision series reference (tests/oracles.py):
 # alpha(8, 0.5) = 1 - P(8, 8 ln(1.5) * 3), beta(8, 0.5) = P(8, 16 ln(1.5)).
@@ -96,6 +97,28 @@ class TestFalseAlarmTail:
     def test_relative_accuracy_against_oracle(self, l_s, phi):
         reference = reg_upper_gamma_reference(l_s, l_s * h0_threshold_factor(phi))
         assert abs(false_alarm(l_s, phi) - reference) <= 1e-12 * reference
+
+
+class TestMissDetectionTail:
+    """beta is a lower tail: it must be right in relative terms when tiny.
+
+    The last point is m = 41 of a 4096-antenna array with l_total = 1e5 and
+    theta_t = 2 (fig3 otherwise), where beta is about 5.7e-124.
+    """
+
+    @pytest.mark.parametrize(
+        "l_s,phi",
+        [(l_s, phi) for l_s in L_GRID for phi in PHI_GRID]
+        + [
+            (160.0, 1.0),
+            (160.0, 10.0),
+            (53.333333333333336, 100.0),
+            (2439.0243902439024, 1.6227220817718164),
+        ],
+    )
+    def test_relative_accuracy_against_oracle(self, l_s, phi):
+        reference = reg_lower_gamma_reference(l_s, l_s * h1_threshold_factor(phi))
+        assert abs(miss_detection(l_s, phi) - reference) <= 1e-10 * reference
 
 
 class TestKlDivergence:
@@ -233,6 +256,14 @@ class TestAnalyzeScenario:
 
     def test_vacuous_flag(self):
         vacuous = DetectionAnalysis(
-            alpha=0.0, beta=0.0, xi=0.0, kl_exact=8.0, kl_approx=9.0, pinsker_lb=-1.0
+            m=1,
+            l_sector=4.0,
+            phi_w=1.0,
+            alpha=0.0,
+            beta=0.0,
+            xi=0.0,
+            kl_exact=8.0,
+            kl_approx=9.0,
+            pinsker_lb=-1.0,
         )
         assert vacuous.pinsker_vacuous

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from beamsweep import analysis, cli, presets
+from beamsweep import ConvergenceError, analysis, cli, presets
 from beamsweep.analysis import analyze_scenario
 from beamsweep.cli import (
     ConfigError,
@@ -17,7 +17,6 @@ from beamsweep.cli import (
     parse_config,
 )
 from beamsweep.core import ScenarioConfig
-from beamsweep.specfun import ConvergenceError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIG2_CFG = str(REPO_ROOT / "configs" / "fig2.cfg")
@@ -47,6 +46,8 @@ class TestConfigParsing:
     def test_shipped_presets_parse_to_library_presets(self):
         assert parse_config(FIG2_CFG) == presets.fig2_config()
         assert parse_config(FIG3_CFG) == presets.fig3_config()
+        assert load_config_values(FIG2_CFG) == presets.PRESET_VALUES["fig2"]
+        assert load_config_values(FIG3_CFG) == presets.PRESET_VALUES["fig3"]
 
     def test_good_config(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
@@ -447,6 +448,13 @@ class TestExitCodes:
         code = main(["analyze", "--config", FIG3_CFG, "--set", "m=8", "--out", out])
         assert code == 2
         assert "gammaincc returned nan" in capsys.readouterr().err
+
+    def test_non_finite_beta_maps_to_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "gammainc", lambda a, x: math.nan)
+        out = str(tmp_path / "x.csv")
+        code = main(["analyze", "--config", FIG3_CFG, "--set", "m=8", "--out", out])
+        assert code == 2
+        assert "gammainc returned nan" in capsys.readouterr().err
 
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from beamsweep.analysis import total_error
+from beamsweep.analysis import analyze_scenario, total_error
 from beamsweep.core import ScenarioConfig
 from beamsweep.optimizer import SweepCurve, sweep_sectors
 from beamsweep.presets import fig2_config, fig3_config
@@ -48,11 +48,10 @@ class TestSmallBudgetCurve:
             assert entry.xi == entry.alpha + entry.beta
             assert entry.l_sector == cfg.l_total / entry.m
             assert entry.pinsker_lb <= entry.xi + 1e-12
-            assert entry.integer_samples == (cfg.l_total % entry.m == 0)
 
-    def test_integer_sample_flags(self, curve):
-        flagged = [e.m for e in curve.entries if e.integer_samples]
-        assert flagged == [1, 2, 4, 8, 16, 32]
+    def test_entries_are_analyze_scenario_records(self, curve):
+        cfg = fig3_config()
+        assert all(entry == analyze_scenario(cfg, entry.m) for entry in curve.entries)
 
 
 class TestLargeBudgetCurve:
