@@ -7,34 +7,38 @@ Subcommands:
     validate   closed form vs Monte Carlo with a pass/fail flag per cell
     repro      the shipped fig2/fig3 parameter studies, one CSV per curve
 
-Configs are flat ``key=value`` text with ``#`` comments; powers are given in
-dBm and converted at this boundary. Exit codes: 0 success, 1 validation or
-parse failure, 2 numerical convergence failure, 3 Monte Carlo validation
-failure.
+This module holds the argparse parser and one handler per subcommand; each
+subparser names its handler. The config-file format (reading, canonical
+dump, value formatting) lives in ``presets``. Each CSV column of a curve or
+an ``analyze`` row is the ``DetectionAnalysis`` field of the same name.
+Exit codes: 0 success, 1 validation or parse failure, 2 numerical
+convergence failure, 3 Monte Carlo validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from operator import attrgetter
 
 from .analysis import ConvergenceError, analyze_scenario, false_alarm, miss_detection
 from .core import ScenarioConfig, make_link_budget, make_sweep_plan
 from .montecarlo import McConfig, estimate_errors, retry_seed
 from .optimizer import sweep_sectors
 from .presets import (
-    CANONICAL_ORDER,
     CONFIG_KEYS,
     INT_KEYS,
     PRESET_VALUES,
     REPRO_SWEEPS,
     ConfigError,
     build_scenario,
-    effective_values,
+    dump_config_text,
+    format_value,
+    load_config_values,
+    parse_scalar,
 )
 
 EXIT_OK = 0
@@ -55,80 +59,11 @@ VALIDATE_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """One resolved CLI invocation."""
-
-    command: str
-    config_path: str | None
-    output_path: str | None
-    overrides: tuple[str, ...] = ()
-    mc_trials: int | None = None
-    seed: int | None = None
-    preset: str | None = None
-    dump_config: bool = False
-
-
-# ---------------------------------------------------------------------------
-# config parsing
-
-
-def _parse_scalar(key: str, text: str, where: str = "") -> float | int:
-    prefix = f"{where}: " if where else ""
-    if key in INT_KEYS:
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(
-                f"{prefix}key '{key}' expects an integer, got '{text}'"
-            ) from None
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"{prefix}key '{key}' expects a number, got '{text}'") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{prefix}key '{key}' must be finite, got '{text}'")
-    return value
-
-
-def load_config_values(path: str) -> dict[str, float | int]:
-    """Read a key=value config file, rejecting unknown or repeated keys."""
-    values: dict[str, float | int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
-                continue
-            if "=" not in body:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got '{body}'")
-            key, _, text = body.partition("=")
-            key = key.strip()
-            text = text.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
-            values[key] = _parse_scalar(key, text, where=f"{path}:{lineno}")
-    return values
-
-
-def parse_config(path: str) -> ScenarioConfig:
-    """Load and validate a scenario config file."""
-    return build_scenario(load_config_values(path))
-
-
-def dump_config_text(values: dict[str, float | int]) -> str:
-    """Canonical config text that reparses to an identical scenario."""
-    full = effective_values(values)
-    lines = [f"{key}={_fmt(full[key])}" for key in CANONICAL_ORDER]
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # overrides and output helpers
 
 
-def _split_overrides(pairs: tuple[str, ...]) -> dict[str, str]:
+def _split_overrides(pairs: list[str]) -> dict[str, str]:
     raw: dict[str, str] = {}
     for item in pairs:
         key, sep, text = item.partition("=")
@@ -145,7 +80,7 @@ def _apply_scenario_overrides(
     raw: dict[str, str], values: dict[str, float | int]
 ) -> None:
     for key in [k for k in raw if k in CONFIG_KEYS]:
-        values[key] = _parse_scalar(key, raw.pop(key), where="--set")
+        values[key] = parse_scalar(key, raw.pop(key), key in INT_KEYS, where="--set")
 
 
 def _reject_unknown(raw: dict[str, str]) -> None:
@@ -157,26 +92,7 @@ def _parse_list(key: str, text: str, as_int: bool) -> list[float] | list[int]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
         raise ConfigError(f"override '{key}' needs at least one value")
-    out = []
-    for piece in items:
-        try:
-            out.append(int(piece) if as_int else float(piece))
-        except ValueError:
-            kind = "integer" if as_int else "number"
-            raise ConfigError(
-                f"override '{key}' expects a comma-separated list of {kind}s, "
-                f"got '{text}'"
-            ) from None
-    return out
-
-
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    # 17 significant digits: enough for binary round-trip of any double.
-    return format(float(value), ".17g")
+    return [parse_scalar(key, piece, as_int, where="--set") for piece in items]
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -198,107 +114,79 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _csv(header: str, rows: list[list], trailer: str | None = None) -> str:
+def _csv(header: str, rows: Iterable[Sequence], trailer: str | None = None) -> str:
     lines = [header]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+    lines.extend(",".join(format_value(cell) for cell in row) for row in rows)
     if trailer is not None:
         lines.append(trailer)
     return "\n".join(lines) + "\n"
 
 
-def _require_out(spec: RunSpec) -> str:
-    if not spec.output_path:
-        raise ConfigError(f"command '{spec.command}' requires --out")
-    return spec.output_path
+def _records_csv(header: str, records, trailer: str | None = None) -> str:
+    """CSV of analysis records; each column is the record field of that name."""
+    return _csv(header, map(attrgetter(*header.split(",")), records), trailer)
+
+
+def _require_out(args: argparse.Namespace) -> str:
+    if not args.out:
+        raise ConfigError(f"command '{args.command}' requires --out")
+    return args.out
 
 
 def _load_scenario_for(
-    spec: RunSpec, raw: dict[str, str]
+    args: argparse.Namespace, raw: dict[str, str]
 ) -> tuple[dict[str, float | int], ScenarioConfig]:
     """The config values after --set overrides, and the scenario they build."""
-    if not spec.config_path:
-        raise ConfigError(f"command '{spec.command}' requires --config")
-    values = load_config_values(spec.config_path)
+    if not args.config:
+        raise ConfigError(f"command '{args.command}' requires --config")
+    values = load_config_values(args.config)
     _apply_scenario_overrides(raw, values)
     return values, build_scenario(values)
 
 
-def _sweep_rows(curve) -> list[list]:
-    return [
-        [e.m, e.l_sector, e.phi_w, e.alpha, e.beta, e.xi, e.kl_exact, e.pinsker_lb]
-        for e in curve.entries
-    ]
-
-
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each takes the parsed arguments and the --set overrides
+# not yet consumed, and returns an exit code.
 
 
-def _run_analyze(spec: RunSpec) -> int:
-    raw = _split_overrides(spec.overrides)
-    values, cfg = _load_scenario_for(spec, raw)
-    m = 1
-    if "m" in raw:
-        text = raw.pop("m")
-        try:
-            m = int(text)
-        except ValueError:
-            raise ConfigError(f"--set: key 'm' expects an integer, got '{text}'") from None
+def _run_analyze(args: argparse.Namespace, raw: dict[str, str]) -> int:
+    values, cfg = _load_scenario_for(args, raw)
+    m = parse_scalar("m", raw.pop("m"), as_int=True, where="--set") if "m" in raw else 1
     _reject_unknown(raw)
-    if spec.dump_config:
+    if args.dump_config:
         sys.stdout.write(dump_config_text(values))
-        if not spec.output_path:
+        if not args.out:
             return EXIT_OK
-    out = _require_out(spec)
-    result = analyze_scenario(cfg, m)
-    row = [
-        result.m,
-        result.l_sector,
-        result.phi_w,
-        result.alpha,
-        result.beta,
-        result.xi,
-        result.kl_exact,
-        result.kl_approx,
-        result.pinsker_lb,
-        result.pinsker_vacuous,
-    ]
-    _write_atomic(out, _csv(ANALYZE_HEADER, [row]))
+    out = _require_out(args)
+    _write_atomic(out, _records_csv(ANALYZE_HEADER, [analyze_scenario(cfg, m)]))
     return EXIT_OK
 
 
-def _run_sweep(spec: RunSpec) -> int:
-    raw = _split_overrides(spec.overrides)
-    _, cfg = _load_scenario_for(spec, raw)
+def _run_curve(args: argparse.Namespace, raw: dict[str, str]) -> int:
+    """sweep-m writes the error curve; optimize adds the minimizer as a trailer."""
+    _, cfg = _load_scenario_for(args, raw)
     _reject_unknown(raw)
-    out = _require_out(spec)
+    out = _require_out(args)
     curve = sweep_sectors(cfg)
-    _write_atomic(out, _csv(SWEEP_HEADER, _sweep_rows(curve)))
+    trailer = None
+    if args.command == "optimize":
+        trailer = f"# m_star={curve.m_star},xi_star={format_value(curve.xi_star)}"
+    _write_atomic(out, _records_csv(SWEEP_HEADER, curve.entries, trailer))
+    if trailer is not None:
+        print(f"m_star={curve.m_star} xi_star={format_value(curve.xi_star)}")
     return EXIT_OK
 
 
-def _run_optimize(spec: RunSpec) -> int:
-    raw = _split_overrides(spec.overrides)
-    _, cfg = _load_scenario_for(spec, raw)
-    _reject_unknown(raw)
-    out = _require_out(spec)
-    curve = sweep_sectors(cfg)
-    trailer = f"# m_star={curve.m_star},xi_star={_fmt(curve.xi_star)}"
-    _write_atomic(out, _csv(SWEEP_HEADER, _sweep_rows(curve), trailer=trailer))
-    print(f"m_star={curve.m_star} xi_star={_fmt(curve.xi_star)}")
-    return EXIT_OK
-
-
-def _validate_cells(spec: RunSpec, raw: dict[str, str]) -> list[tuple[int, float]]:
+def _validate_cells(args: argparse.Namespace, raw: dict[str, str]) -> list[tuple[int, float]]:
     """Resolve the (integer l_s, phi_w) cells a validate run should check."""
-    if spec.config_path:
+    if args.config:
         if "l_s" in raw or "phi_w" in raw:
             raise ConfigError(
                 "with --config, validate derives l_s and phi_w from the scenario; "
                 "use --set m=... to pick sector counts"
             )
         m_list = _parse_list("m", raw.pop("m"), as_int=True) if "m" in raw else [1]
-        _, cfg = _load_scenario_for(spec, raw)
+        _, cfg = _load_scenario_for(args, raw)
         cells = []
         for m in m_list:
             plan = make_sweep_plan(cfg, m)
@@ -330,39 +218,31 @@ def _validate_cells(spec: RunSpec, raw: dict[str, str]) -> list[tuple[int, float
     return [(l_s, phi) for l_s in ls_list for phi in phi_list]
 
 
-def _run_validate(spec: RunSpec) -> int:
-    raw = _split_overrides(spec.overrides)
-    cells = _validate_cells(spec, raw)
+def _run_validate(args: argparse.Namespace, raw: dict[str, str]) -> int:
+    cells = _validate_cells(args, raw)
     _reject_unknown(raw)
-    out = _require_out(spec)
-    trials = spec.mc_trials if spec.mc_trials is not None else DEFAULT_TRIALS
-    seed = spec.seed if spec.seed is not None else DEFAULT_SEED
+    out = _require_out(args)
 
     rows = []
     all_pass = True
     for l_s, phi_w in cells:
         alpha = false_alarm(float(l_s), phi_w)
         beta = miss_detection(float(l_s), phi_w)
-        used_seed = seed
-        retried = False
-        est = estimate_errors(phi_w, McConfig(trials=trials, seed=used_seed, l_sector_int=l_s))
-        ok = _within_three_halfwidths(est, alpha, beta)
-        if not ok:
-            # One reseeded rerun before declaring a defect; the retry seed is
-            # a fixed function of the original so reruns stay reproducible.
-            used_seed = retry_seed(seed)
-            retried = True
-            est = estimate_errors(
-                phi_w, McConfig(trials=trials, seed=used_seed, l_sector_int=l_s)
-            )
+        # One reseeded rerun before declaring a defect; the retry seed is a
+        # fixed function of the original so reruns stay reproducible.
+        for retried, seed in ((False, args.seed), (True, retry_seed(args.seed))):
+            mc = McConfig(trials=args.trials, seed=seed, l_sector_int=l_s)
+            est = estimate_errors(phi_w, mc)
             ok = _within_three_halfwidths(est, alpha, beta)
+            if ok:
+                break
         all_pass = all_pass and ok
         rows.append(
             [
                 l_s,
                 phi_w,
-                trials,
-                used_seed,
+                args.trials,
+                seed,
                 retried,
                 alpha,
                 est.alpha_hat,
@@ -386,57 +266,27 @@ def _within_three_halfwidths(est, alpha: float, beta: float) -> bool:
     )
 
 
-def _run_repro(spec: RunSpec) -> int:
-    if spec.preset not in PRESET_VALUES:
-        raise ConfigError(f"unknown preset '{spec.preset}'")
-    out_dir = _require_out(spec)
-    raw = _split_overrides(spec.overrides)
-    base = dict(PRESET_VALUES[spec.preset])
-    sweep_key, default_list = REPRO_SWEEPS[spec.preset]
-    sweep_is_int = sweep_key in INT_KEYS
+def _run_repro(args: argparse.Namespace, raw: dict[str, str]) -> int:
+    out_dir = _require_out(args)
+    base = dict(PRESET_VALUES[args.preset])
+    sweep_key, default_list = REPRO_SWEEPS[args.preset]
     if sweep_key in raw:
-        sweep_values = _parse_list(sweep_key, raw.pop(sweep_key), as_int=sweep_is_int)
+        sweep_values = _parse_list(sweep_key, raw.pop(sweep_key), sweep_key in INT_KEYS)
     else:
-        sweep_values = [int(v) if sweep_is_int else v for v in default_list]
+        sweep_values = list(default_list)
     _apply_scenario_overrides(raw, base)
     _reject_unknown(raw)
 
     os.makedirs(out_dir, exist_ok=True)
     for value in sweep_values:
-        values = dict(base)
-        values[sweep_key] = value
-        curve = sweep_sectors(build_scenario(values))
-        name = f"{spec.preset}_{sweep_key}_{value:g}.csv"
+        curve = sweep_sectors(build_scenario({**base, sweep_key: value}))
+        # The exact value, so sweep values that agree to a few digits never
+        # share a file name.
+        name = f"{args.preset}_{sweep_key}_{format_value(value)}.csv"
         path = os.path.join(out_dir, name)
-        _write_atomic(path, _csv(SWEEP_HEADER, _sweep_rows(curve)))
+        _write_atomic(path, _records_csv(SWEEP_HEADER, curve.entries))
         print(path)
     return EXIT_OK
-
-
-_HANDLERS = {
-    "analyze": _run_analyze,
-    "sweep-m": _run_sweep,
-    "optimize": _run_optimize,
-    "validate": _run_validate,
-    "repro": _run_repro,
-}
-
-
-def run(spec: RunSpec) -> int:
-    """Execute a resolved invocation, mapping failures to exit codes."""
-    try:
-        handler = _HANDLERS[spec.command]
-    except KeyError:
-        print(f"error: unknown command '{spec.command}'", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        return handler(spec)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="beamsweep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
+    def add_command(name, handler, summary, config=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if config:
             p.add_argument("--config", help="scenario config file (key=value lines)")
         p.add_argument("--out", help="output CSV path")
@@ -465,47 +317,43 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key or command parameter (repeatable)",
         )
+        return p
 
-    p = sub.add_parser("analyze", help="closed-form results at one sector count")
-    add_common(p)
+    p = add_command("analyze", _run_analyze, "closed-form results at one sector count")
     p.add_argument(
         "--dump-config",
         action="store_true",
         help="echo the effective config in canonical form to stdout",
     )
+    add_command("sweep-m", _run_curve, "error curve over every sector count")
+    add_command("optimize", _run_curve, "error curve plus the optimal sector count")
 
-    p = sub.add_parser("sweep-m", help="error curve over every sector count")
-    add_common(p)
+    p = add_command("validate", _run_validate, "Monte Carlo check of the closed forms")
+    p.add_argument(
+        "--trials",
+        type=int,
+        default=DEFAULT_TRIALS,
+        help=f"trials per hypothesis (default {DEFAULT_TRIALS})",
+    )
+    p.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help=f"base RNG seed (default {DEFAULT_SEED})"
+    )
 
-    p = sub.add_parser("optimize", help="error curve plus the optimal sector count")
-    add_common(p)
-
-    p = sub.add_parser("validate", help="Monte Carlo check of the closed forms")
-    add_common(p)
-    p.add_argument("--trials", type=int, help=f"trials per hypothesis (default {DEFAULT_TRIALS})")
-    p.add_argument("--seed", type=int, help=f"base RNG seed (default {DEFAULT_SEED})")
-
-    p = sub.add_parser("repro", help="shipped parameter studies, one CSV per curve")
+    p = add_command(
+        "repro", _run_repro, "shipped parameter studies, one CSV per curve", config=False
+    )
     p.add_argument("preset", choices=sorted(PRESET_VALUES))
-    add_common(p, config=False)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line; returns its exit code."""
     try:
         args = _build_parser().parse_args(argv)
-    except ConfigError as exc:
+        return args.handler(args, _split_overrides(args.set))
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    spec = RunSpec(
-        command=args.command,
-        config_path=getattr(args, "config", None),
-        output_path=args.out,
-        overrides=tuple(args.set),
-        mc_trials=getattr(args, "trials", None),
-        seed=getattr(args, "seed", None),
-        preset=getattr(args, "preset", None),
-        dump_config=getattr(args, "dump_config", False),
-    )
-    return run(spec)

@@ -16,6 +16,7 @@ therefore bit-identical for any chunking.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,26 +92,25 @@ def _simulate_batch(
     seed: int,
     trials: int,
     chunk: int | None = None,
-) -> np.ndarray:
-    """Statistics for trials [0, trials), independent of the chunk size.
+) -> Iterator[np.ndarray]:
+    """Statistics for trials [0, trials), yielded one chunk at a time.
 
     ``chunk`` is the number of trials per chunk; by default a chunk holds
-    about _CHUNK_ELEMENTS uniforms.
+    about _CHUNK_ELEMENTS uniforms. The concatenated statistics do not depend
+    on the chunk size, and only one chunk is held at a time.
     """
     blocks = _blocks_per_trial(l_s)
     stride = 4 * blocks
     if chunk is None:
         chunk = max(1, _CHUNK_ELEMENTS // stride)
     key = np.array([seed, 1 if under_h1 else 0], dtype=np.uint64)
-    out = np.empty(trials)
     buffer = np.empty((min(chunk, trials), stride))
     for start in range(0, trials, chunk):
         n = min(chunk, trials - start)
         bits = Philox(key=key)
         bits.advance(start * blocks)
         uniforms = Generator(bits).random(out=buffer[:n])[:, :l_s]
-        out[start : start + n] = _statistics(uniforms, phi_w, under_h1)
-    return out
+        yield _statistics(uniforms, phi_w, under_h1)
 
 
 def _wilson_halfwidth(p_hat: float, n: int) -> float:
@@ -135,10 +135,17 @@ def estimate_errors(phi_w: float, mc: McConfig) -> McEstimate:
         )
     l_s = mc.l_sector_int
     threshold = l_s * h0_threshold_factor(phi_w)
-    h0_stats = _simulate_batch(l_s, phi_w, False, mc.seed, mc.trials)
-    h1_stats = _simulate_batch(l_s, phi_w, True, mc.seed, mc.trials)
-    alpha_hat = float(np.count_nonzero(h0_stats > threshold)) / mc.trials
-    beta_hat = float(np.count_nonzero(h1_stats <= threshold)) / mc.trials
+    # Only the event counts are kept, so memory stays bounded in the trials.
+    false_alarms = sum(
+        np.count_nonzero(stats > threshold)
+        for stats in _simulate_batch(l_s, phi_w, False, mc.seed, mc.trials)
+    )
+    misses = sum(
+        np.count_nonzero(stats <= threshold)
+        for stats in _simulate_batch(l_s, phi_w, True, mc.seed, mc.trials)
+    )
+    alpha_hat = float(false_alarms) / mc.trials
+    beta_hat = float(misses) / mc.trials
     return McEstimate(
         alpha_hat=alpha_hat,
         beta_hat=beta_hat,

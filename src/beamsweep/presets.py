@@ -1,9 +1,11 @@
-"""Scenario values in config-file coordinates and the shipped presets.
+"""The config-file format, scenario values in its coordinates, and the shipped presets.
 
-A scenario is written as flat key=value pairs with powers in dBm;
-``build_scenario`` converts them to a ScenarioConfig at this boundary. The
-preset values below are the one copy that ``fig2_config``/``fig3_config``,
-``beamsweep repro`` and the tests read; ``configs/*.cfg`` must match them.
+A scenario is written as flat key=value pairs with powers in dBm and ``#``
+comments. ``load_config_values`` reads that format, ``dump_config_text``
+writes it in canonical order with ``format_value``, and ``build_scenario``
+converts the values to a ScenarioConfig at this boundary. The preset values
+below are the one copy that ``fig2_config``/``fig3_config``, ``beamsweep
+repro`` and the tests read; ``configs/*.cfg`` must match them.
 
 Both presets share the array and geometry; they differ in transmit power and
 symbol budget. At the 50 m standoff they land in the two qualitative
@@ -59,9 +61,9 @@ PRESET_VALUES: dict[str, dict[str, float | int]] = {
 
 # Parameter swept by `repro <preset>` and its default value list; override
 # with --set <key>=<comma separated values>.
-REPRO_SWEEPS: dict[str, tuple[str, tuple[float, ...]]] = {
+REPRO_SWEEPS: dict[str, tuple[str, tuple[float | int, ...]]] = {
     "fig2": ("noise_dbm", (-50.0, -60.0)),
-    "fig3": ("l_total", (32.0, 160.0)),
+    "fig3": ("l_total", (32, 160)),
 }
 
 
@@ -75,6 +77,63 @@ def effective_values(values: dict[str, float | int]) -> dict[str, float | int]:
         if key not in values:
             raise ConfigError(f"missing required key '{key}'")
     return {**_DEFAULT_VALUES, **values}
+
+
+def parse_scalar(key: str, text: str, as_int: bool, where: str = "") -> float | int:
+    """One config or override value: an integer, or a finite number."""
+    prefix = f"{where}: " if where else ""
+    if as_int:
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(
+                f"{prefix}key '{key}' expects an integer, got '{text}'"
+            ) from None
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{prefix}key '{key}' expects a number, got '{text}'") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{prefix}key '{key}' must be finite, got '{text}'")
+    return value
+
+
+def load_config_values(path: str) -> dict[str, float | int]:
+    """Read a key=value config file, rejecting unknown or repeated keys."""
+    values: dict[str, float | int] = {}
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            if "=" not in body:
+                raise ConfigError(f"{path}:{lineno}: expected key=value, got '{body}'")
+            key, _, text = body.partition("=")
+            key = key.strip()
+            text = text.strip()
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"{path}:{lineno}: unknown key '{key}'")
+            if key in values:
+                raise ConfigError(f"{path}:{lineno}: duplicate key '{key}'")
+            values[key] = parse_scalar(key, text, key in INT_KEYS, where=f"{path}:{lineno}")
+    return values
+
+
+def format_value(value) -> str:
+    """A config value or CSV cell as text that reparses to the same value."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    # 17 significant digits: enough for binary round-trip of any double.
+    return format(float(value), ".17g")
+
+
+def dump_config_text(values: dict[str, float | int]) -> str:
+    """Canonical config text that reparses to an identical scenario."""
+    full = effective_values(values)
+    lines = [f"{key}={format_value(full[key])}" for key in CANONICAL_ORDER]
+    return "\n".join(lines) + "\n"
 
 
 def build_scenario(values: dict[str, float | int]) -> ScenarioConfig:

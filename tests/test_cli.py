@@ -7,14 +7,12 @@ import pytest
 
 from beamsweep import ConvergenceError, analysis, cli, presets
 from beamsweep.analysis import analyze_scenario
-from beamsweep.cli import (
+from beamsweep.cli import main
+from beamsweep.presets import (
     ConfigError,
-    RunSpec,
     build_scenario,
     dump_config_text,
     load_config_values,
-    main,
-    parse_config,
 )
 from beamsweep.core import ScenarioConfig
 
@@ -44,13 +42,13 @@ carrier_hz=2.4e9
 
 class TestConfigParsing:
     def test_shipped_presets_parse_to_library_presets(self):
-        assert parse_config(FIG2_CFG) == presets.fig2_config()
-        assert parse_config(FIG3_CFG) == presets.fig3_config()
+        assert build_scenario(load_config_values(FIG2_CFG)) == presets.fig2_config()
+        assert build_scenario(load_config_values(FIG3_CFG)) == presets.fig3_config()
         assert load_config_values(FIG2_CFG) == presets.PRESET_VALUES["fig2"]
         assert load_config_values(FIG3_CFG) == presets.PRESET_VALUES["fig3"]
 
     def test_good_config(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, GOOD_CONFIG))
+        cfg = build_scenario(load_config_values(write_config(tmp_path, GOOD_CONFIG)))
         assert isinstance(cfg, ScenarioConfig)
         assert cfg == presets.fig3_config()
 
@@ -58,7 +56,7 @@ class TestConfigParsing:
         text = "\n".join(
             line for line in GOOD_CONFIG.splitlines() if not line.startswith(("path_exp", "carrier_hz"))
         )
-        cfg = parse_config(write_config(tmp_path, text))
+        cfg = build_scenario(load_config_values(write_config(tmp_path, text)))
         assert cfg.path_exp == 2.0
         assert cfg.carrier_hz == 2.4e9
 
@@ -67,12 +65,12 @@ class TestConfigParsing:
             line for line in GOOD_CONFIG.splitlines() if not line.startswith("l_total")
         )
         with pytest.raises(ConfigError, match="l_total"):
-            parse_config(write_config(tmp_path, text))
+            build_scenario(load_config_values(write_config(tmp_path, text)))
 
     def test_invariant_violation_cited(self, tmp_path):
         text = GOOD_CONFIG.replace("theta_t=1.0471975511965976", "theta_t=3.0")
         with pytest.raises(ValueError, match="theta_t"):
-            parse_config(write_config(tmp_path, text))
+            build_scenario(load_config_values(write_config(tmp_path, text)))
 
     def test_unknown_key_rejected_with_line(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG + "bandwidth=1e6\n")
@@ -104,7 +102,7 @@ class TestConfigParsing:
         dumped = dump_config_text(values)
         path = tmp_path / "echo.cfg"
         path.write_text(dumped)
-        assert parse_config(str(path)) == build_scenario(values)
+        assert build_scenario(load_config_values(str(path))) == build_scenario(values)
 
 
 class TestAnalyzeCommand:
@@ -131,7 +129,9 @@ class TestAnalyzeCommand:
         echoed = capsys.readouterr().out
         path = tmp_path / "echo.cfg"
         path.write_text(echoed)
-        assert parse_config(str(path)) == parse_config(FIG3_CFG)
+        assert build_scenario(load_config_values(str(path))) == build_scenario(
+            load_config_values(FIG3_CFG)
+        )
 
     def test_override_changes_scenario(self, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -385,6 +385,48 @@ class TestReproCommand:
     def test_unknown_preset_rejected(self, tmp_path):
         assert main(["repro", "fig9", "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize(
+        "preset, override",
+        [
+            ("fig2", "noise_dbm=-50.0000001,-50.0000002"),
+            ("fig3", "l_total=1000000,1000001"),
+        ],
+    )
+    def test_close_sweep_values_write_distinct_files(self, tmp_path, preset, override):
+        # Names rounded to six digits made the second curve overwrite the first.
+        out_dir = tmp_path / preset
+        assert main(["repro", preset, "--out", str(out_dir), "--set", override]) == 0
+        assert len(os.listdir(out_dir)) == 2
+
+
+class TestCrossCommand:
+    """The commands that print the same curve print the same bytes."""
+
+    @pytest.mark.parametrize(
+        "preset, repro_name",
+        [("fig2", "fig2_noise_dbm_-50.csv"), ("fig3", "fig3_l_total_32.csv")],
+    )
+    def test_curve_commands_agree(self, tmp_path, preset, repro_name):
+        config = FIG2_CFG if preset == "fig2" else FIG3_CFG
+        sweep, opt, row = tmp_path / "sweep.csv", tmp_path / "opt.csv", tmp_path / "row.csv"
+        assert main(["sweep-m", "--config", config, "--out", str(sweep)]) == 0
+        assert main(["optimize", "--config", config, "--out", str(opt)]) == 0
+        assert main(["analyze", "--config", config, "--out", str(row), "--set", "m=8"]) == 0
+        assert main(["repro", preset, "--out", str(tmp_path / "repro")]) == 0
+
+        sweep_text = sweep.read_text()
+        opt_lines = opt.read_text().splitlines(keepends=True)
+        assert opt_lines[-1].startswith("# m_star=")
+        assert "".join(opt_lines[:-1]) == sweep_text
+        assert (tmp_path / "repro" / repro_name).read_text() == sweep_text
+
+        sweep_lines = sweep_text.splitlines()
+        analyze_header, analyze_row = row.read_text().splitlines()
+        by_column = dict(zip(analyze_header.split(","), analyze_row.split(",")))
+        sweep_row = dict(zip(sweep_lines[0].split(","), sweep_lines[8].split(",")))
+        assert sweep_row["m"] == "8"
+        assert sweep_row == {column: by_column[column] for column in sweep_row}
+
 
 class TestWriteAtomic:
     def test_leaves_only_the_output(self, tmp_path):
@@ -458,16 +500,3 @@ class TestExitCodes:
 
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["frobnicate"]) == 1
-
-    def test_run_rejects_unknown_command(self):
-        assert cli.run(RunSpec(command="nope", config_path=None, output_path=None)) == 1
-
-
-class TestRunSpec:
-    def test_defaults(self):
-        spec = RunSpec(command="analyze", config_path="c", output_path="o")
-        assert spec.overrides == ()
-        assert spec.mc_trials is None
-        assert spec.seed is None
-        assert spec.preset is None
-        assert not spec.dump_config

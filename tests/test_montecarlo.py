@@ -17,6 +17,11 @@ from beamsweep.montecarlo import (
 Z = 1.96
 
 
+def simulate(*args, **kwargs):
+    """All statistics of one batch, its chunks joined."""
+    return np.concatenate(list(_simulate_batch(*args, **kwargs)))
+
+
 def wilson_halfwidth(p_hat, n):
     return Z / (1 + Z * Z / n) * math.sqrt(p_hat * (1 - p_hat) / n + Z * Z / (4 * n * n))
 
@@ -44,12 +49,12 @@ class TestStatisticDistribution:
     @pytest.mark.parametrize("l_s", [1, 16])
     def test_h0_mean(self, l_s):
         trials = 100_000
-        stats = _simulate_batch(l_s, 1.0, False, seed=11, trials=trials)
+        stats = simulate(l_s, 1.0, False, seed=11, trials=trials)
         assert abs(stats.mean() - l_s) <= 3.0 * math.sqrt(l_s / trials)
 
     def test_h1_mean_scales_with_snr(self):
         l_s, phi, trials = 4, 2.5, 100_000
-        stats = _simulate_batch(l_s, phi, True, seed=11, trials=trials)
+        stats = simulate(l_s, phi, True, seed=11, trials=trials)
         expected = l_s * (1.0 + phi)
         tol = 3.0 * (1.0 + phi) * math.sqrt(l_s / trials)
         assert abs(stats.mean() - expected) <= tol
@@ -64,13 +69,13 @@ class TestStatisticDistribution:
     def test_h0_variance(self):
         # A sum of l_s unit exponentials has variance l_s.
         l_s, trials = 16, 100_000
-        stats = _simulate_batch(l_s, 1.0, False, seed=13, trials=trials)
+        stats = simulate(l_s, 1.0, False, seed=13, trials=trials)
         # Standard error of the sample variance: sqrt((mu4 - sigma^4) / n).
         tol = 3.0 * math.sqrt((6.0 * l_s + 2.0 * l_s * l_s) / trials)
         assert abs(stats.var() - l_s) <= tol
 
     def test_statistics_positive(self):
-        stats = _simulate_batch(2, 1.0, False, seed=3, trials=1000)
+        stats = simulate(2, 1.0, False, seed=3, trials=1000)
         assert np.all(stats > 0.0)
         assert np.all(np.isfinite(stats))
 
@@ -84,30 +89,40 @@ class TestDeterminism:
     @pytest.mark.parametrize("l_s", [1, 3, 5, 16, 999])
     def test_chunking_cannot_change_results(self, l_s):
         kw = dict(l_s=l_s, phi_w=0.5, under_h1=True, seed=9, trials=501)
-        base = _simulate_batch(**kw)
-        assert np.array_equal(base, _simulate_batch(**kw, chunk=17))
-        assert np.array_equal(base, _simulate_batch(**kw, chunk=500))
+        base = simulate(**kw)
+        assert np.array_equal(base, simulate(**kw, chunk=17))
+        assert np.array_equal(base, simulate(**kw, chunk=500))
 
     @pytest.mark.parametrize("l_s", [1, 3, 5, 16])
     def test_trial_independent_of_trial_count(self, l_s):
-        batch = _simulate_batch(l_s, 0.5, True, seed=9, trials=200)
+        batch = simulate(l_s, 0.5, True, seed=9, trials=200)
         for trial in (0, 7, 101, 199):
-            alone = _simulate_batch(l_s, 0.5, True, seed=9, trials=trial + 1)
+            alone = simulate(l_s, 0.5, True, seed=9, trials=trial + 1)
             assert alone[trial] == batch[trial]
 
     def test_peak_memory_bounded_at_long_dwell(self):
         # Chunks of 65,536 trials (65,536 x 320 doubles) peaked near 482 MB.
         tracemalloc.start()
         try:
-            _simulate_batch(160, 1.0, False, seed=1, trials=65_536)
+            simulate(160, 1.0, False, seed=1, trials=65_536)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
 
+    def test_estimate_memory_bounded_in_trials(self):
+        # Keeping both hypotheses' full statistic arrays peaked at 64.9 MB here.
+        tracemalloc.start()
+        try:
+            estimate_errors(1.0, McConfig(trials=4_000_000, seed=1, l_sector_int=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
     def test_hypotheses_use_distinct_streams(self):
-        h0 = _simulate_batch(2, 1.0, False, seed=9, trials=50)
-        h1 = _simulate_batch(2, 1.0, True, seed=9, trials=50)
+        h0 = simulate(2, 1.0, False, seed=9, trials=50)
+        h1 = simulate(2, 1.0, True, seed=9, trials=50)
         assert not np.array_equal(h0 * 2.0, h1)
 
     def test_retry_seed_fixed_and_distinct(self):
