@@ -12,6 +12,7 @@ from .analysis import (
     ConvergenceError,
     DetectionAnalysis,
     analyze_scenario,
+    analyze_sectors,
     false_alarm,
     kl_divergence_approx,
     kl_divergence_exact,
@@ -53,6 +54,7 @@ __all__ = [
     "SweepCurve",
     "SweepPlan",
     "analyze_scenario",
+    "analyze_sectors",
     "dbm_to_watt",
     "estimate_errors",
     "false_alarm",

@@ -10,7 +10,8 @@ Subcommands:
 This module holds the argparse parser and one handler per subcommand; each
 subparser names its handler. The config-file format (reading, canonical
 dump, value formatting) lives in ``presets``. Each CSV column of a curve or
-an ``analyze`` row is the ``DetectionAnalysis`` field of the same name.
+an ``analyze`` row is the ``DetectionAnalysis`` field of the same name, and
+one printf format built from the header writes every such row.
 Exit codes: 0 success, 1 validation or parse failure, 2 numerical
 convergence failure, 3 Monte Carlo validation failure.
 """
@@ -24,7 +25,13 @@ import tempfile
 from collections.abc import Iterable, Sequence
 from operator import attrgetter
 
-from .analysis import ConvergenceError, analyze_scenario, false_alarm, miss_detection
+from .analysis import (
+    ConvergenceError,
+    DetectionAnalysis,
+    analyze_scenario,
+    false_alarm,
+    miss_detection,
+)
 from .core import ScenarioConfig, make_link_budget, make_sweep_plan
 from .montecarlo import McConfig, estimate_errors, retry_seed
 from .optimizer import sweep_sectors
@@ -50,9 +57,8 @@ DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 42
 
 SWEEP_HEADER = "m,l_sector,phi_w,alpha,beta,xi,kl_exact,pinsker_lb"
-ANALYZE_HEADER = (
-    "m,l_sector,phi_w,alpha,beta,xi,kl_exact,kl_approx,pinsker_lb,pinsker_vacuous"
-)
+_ANALYZE_COLUMNS = "m,l_sector,phi_w,alpha,beta,xi,kl_exact,kl_approx,pinsker_lb"
+ANALYZE_HEADER = f"{_ANALYZE_COLUMNS},pinsker_vacuous"
 VALIDATE_HEADER = (
     "l_s,phi_w,trials,seed,retried,"
     "alpha,alpha_hat,ci_alpha,beta,beta_hat,ci_beta,xi,xi_hat,pass"
@@ -114,17 +120,24 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _csv(header: str, rows: Iterable[Sequence], trailer: str | None = None) -> str:
-    lines = [header]
-    lines.extend(",".join(format_value(cell) for cell in row) for row in rows)
-    if trailer is not None:
-        lines.append(trailer)
+def _text(lines: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _records_csv(header: str, records, trailer: str | None = None) -> str:
-    """CSV of analysis records; each column is the record field of that name."""
-    return _csv(header, map(attrgetter(*header.split(",")), records), trailer)
+def _csv(header: str, rows: Iterable[Sequence]) -> str:
+    return _text([header, *(",".join(map(format_value, row)) for row in rows)])
+
+
+def _record_rows(columns: str, records: Iterable[DetectionAnalysis]) -> list[str]:
+    """CSV rows of analysis records; each column is the record field of that name.
+
+    One printf format, built from the column names, writes every row: '%d'
+    for the sector count and '%.17g' for the floats, which is the routine
+    ``format_value`` runs, so the cells are the same.
+    """
+    names = columns.split(",")
+    row = ",".join("%d" if name == "m" else "%.17g" for name in names)
+    return list(map(row.__mod__, map(attrgetter(*names), records)))
 
 
 def _require_out(args: argparse.Namespace) -> str:
@@ -158,7 +171,9 @@ def _run_analyze(args: argparse.Namespace, raw: dict[str, str]) -> int:
         if not args.out:
             return EXIT_OK
     out = _require_out(args)
-    _write_atomic(out, _records_csv(ANALYZE_HEADER, [analyze_scenario(cfg, m)]))
+    result = analyze_scenario(cfg, m)
+    (row,) = _record_rows(_ANALYZE_COLUMNS, [result])
+    _write_atomic(out, _text([ANALYZE_HEADER, f"{row},{format_value(result.pinsker_vacuous)}"]))
     return EXIT_OK
 
 
@@ -168,11 +183,11 @@ def _run_curve(args: argparse.Namespace, raw: dict[str, str]) -> int:
     _reject_unknown(raw)
     out = _require_out(args)
     curve = sweep_sectors(cfg)
-    trailer = None
+    lines = [SWEEP_HEADER, *_record_rows(SWEEP_HEADER, curve.entries)]
     if args.command == "optimize":
-        trailer = f"# m_star={curve.m_star},xi_star={format_value(curve.xi_star)}"
-    _write_atomic(out, _records_csv(SWEEP_HEADER, curve.entries, trailer))
-    if trailer is not None:
+        lines.append(f"# m_star={curve.m_star},xi_star={format_value(curve.xi_star)}")
+    _write_atomic(out, _text(lines))
+    if args.command == "optimize":
         print(f"m_star={curve.m_star} xi_star={format_value(curve.xi_star)}")
     return EXIT_OK
 
@@ -284,7 +299,7 @@ def _run_repro(args: argparse.Namespace, raw: dict[str, str]) -> int:
         # share a file name.
         name = f"{args.preset}_{sweep_key}_{format_value(value)}.csv"
         path = os.path.join(out_dir, name)
-        _write_atomic(path, _records_csv(SWEEP_HEADER, curve.entries))
+        _write_atomic(path, _text([SWEEP_HEADER, *_record_rows(SWEEP_HEADER, curve.entries)]))
         print(path)
     return EXIT_OK
 

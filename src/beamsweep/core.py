@@ -4,6 +4,10 @@ Everything downstream works in two normalized coordinates derived here: the
 per-sector sample count ``l_sector`` and the post-beamforming SNR ``phi_w``.
 All powers are SI watts internally; dBm appears only at the config-file
 boundary.
+
+Sector counts and SNRs may be scalars or numpy arrays, so a whole error
+curve is one array evaluation: a scalar input gives Python numbers back, an
+array input arrays of its shape.
 """
 
 from __future__ import annotations
@@ -11,7 +15,42 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 SPEED_OF_LIGHT = 3.0e8  # m/s
+
+# A scalar, or a numpy array evaluated element by element.
+FloatOrArray = float | np.ndarray
+
+
+def require(ok, message: str, *values, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` for the first element where ``ok`` is false.
+
+    ``message`` is formatted with the Python value of each of ``values`` at
+    that element, so an array call fails with the message a call on that
+    element alone would give.
+    """
+    ok = np.asarray(ok, dtype=bool)
+    if not ok.all():
+        shape = np.broadcast_shapes(ok.shape, *map(np.shape, values))
+        first = int(np.argmin(np.broadcast_to(ok, shape)))
+        raise error(message.format(*(np.broadcast_to(v, shape).item(first) for v in values)))
+
+
+def scalar_or_array(value: np.ndarray) -> FloatOrArray:
+    """A 0-d result as a Python number, any other as the array."""
+    return value.item() if value.ndim == 0 else value
+
+
+def elementwise_log1p(x: np.ndarray) -> np.ndarray:
+    """ln(1+x) by ``math.log1p`` on each element of an array.
+
+    np.log1p differs from math.log1p in the last bit on some inputs; keeping
+    math.log1p keeps every closed-form value, and so every CSV byte, as it
+    was before the closed forms took arrays.
+    """
+    flat = x.ravel().tolist()
+    return np.fromiter(map(math.log1p, flat), float, count=len(flat)).reshape(x.shape)
 
 
 def dbm_to_watt(p_dbm: float) -> float:
@@ -80,14 +119,15 @@ class ScenarioConfig:
 class SweepPlan:
     """Per-sector quantities for a sweep divided into ``m_sectors`` sectors.
 
-    ``l_sector`` is kept real-valued; only the Monte Carlo validator needs an
-    integer sample count and floors it at its own boundary.
+    For an array of sector counts every field but ``m_max`` is an array over
+    them. ``l_sector`` is kept real-valued; only the Monte Carlo validator
+    needs an integer sample count and floors it at its own boundary.
     """
 
-    m_sectors: int
-    sector_width: float
-    l_sector: float
-    array_gain: float
+    m_sectors: int | np.ndarray
+    sector_width: FloatOrArray
+    l_sector: FloatOrArray
+    array_gain: FloatOrArray
     m_max: int
 
 
@@ -96,17 +136,27 @@ class LinkBudget:
     """Path loss, post-beamforming SNR, and the energy-test threshold."""
 
     rho_aw: float
-    phi_w: float
-    eta: float
+    phi_w: FloatOrArray
+    eta: FloatOrArray
 
 
 def path_loss(cfg: ScenarioConfig) -> float:
-    """Free-space style path loss rho = (c / (4 pi f_c))^2 * d^(-path_exp)."""
-    omega = (SPEED_OF_LIGHT / (4.0 * math.pi * cfg.carrier_hz)) ** 2
-    return omega * cfg.d_aw ** (-cfg.path_exp)
+    """Free-space style path loss rho = (c / (4 pi f_c))^2 * d^(-path_exp).
+
+    Raises ValueError if a factor overflows a float, e.g. for a tiny
+    ``d_aw`` with a large ``path_exp``.
+    """
+    try:
+        omega = (SPEED_OF_LIGHT / (4.0 * math.pi * cfg.carrier_hz)) ** 2
+        return omega * cfg.d_aw ** (-cfg.path_exp)
+    except OverflowError:
+        raise ValueError(
+            f"path loss overflows a float at d_aw={cfg.d_aw}, path_exp={cfg.path_exp}, "
+            f"carrier_hz={cfg.carrier_hz}"
+        ) from None
 
 
-def make_sweep_plan(cfg: ScenarioConfig, m: int) -> SweepPlan:
+def make_sweep_plan(cfg: ScenarioConfig, m: int | np.ndarray) -> SweepPlan:
     """Divide the suspicious range into ``m`` sectors.
 
     The steered array concentrates its gain on one sector at a time, so the
@@ -114,14 +164,18 @@ def make_sweep_plan(cfg: ScenarioConfig, m: int) -> SweepPlan:
     2 m / theta_t. Raises ValueError if ``m`` is outside [1, m_max].
     """
     m_max = cfg.m_max
-    if not 1 <= m <= m_max:
-        raise ValueError(f"sector count m={m} outside the feasible range [1, {m_max}]")
-    sector_width = cfg.theta_t / m
+    m = np.asarray(m)
+    require(
+        (1 <= m) & (m <= m_max), f"sector count m={{}} outside the feasible range [1, {m_max}]", m
+    )
+    # Python's int division rounds l_total / m once for any l_total; numpy
+    # would round l_total to a double first.
+    l_sector = np.array([cfg.l_total / k for k in m.ravel().tolist()], dtype=float)
     return SweepPlan(
-        m_sectors=m,
-        sector_width=sector_width,
-        l_sector=cfg.l_total / m,
-        array_gain=2.0 * m / cfg.theta_t,
+        m_sectors=scalar_or_array(m),
+        sector_width=scalar_or_array(cfg.theta_t / m),
+        l_sector=scalar_or_array(l_sector.reshape(m.shape)),
+        array_gain=scalar_or_array(2.0 * m / cfg.theta_t),
         m_max=m_max,
     )
 
@@ -139,28 +193,30 @@ def make_link_budget(cfg: ScenarioConfig, plan: SweepPlan) -> LinkBudget:
     return LinkBudget(rho_aw=rho, phi_w=phi_w, eta=eta)
 
 
-def h0_threshold_factor(phi_w: float) -> float:
+def _threshold_terms(phi_w: FloatOrArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ln(1+phi) and phi for a checked ``phi_w``, with phi = 0 read as 1, and where it was 0."""
+    phi = np.asarray(phi_w, dtype=float)
+    require(np.isfinite(phi) & (phi >= 0.0), "phi_w must be finite and >= 0, got {}", phi)
+    zero = phi == 0.0
+    phi = np.where(zero, 1.0, phi)
+    return elementwise_log1p(phi), phi, zero
+
+
+def h0_threshold_factor(phi_w: FloatOrArray) -> FloatOrArray:
     """Test threshold in units of the mean no-signal statistic per sample.
 
     Equals ln(1+phi)(1+1/phi); tends to 1 as phi -> 0 (a blind test sits at
     the mean) and grows like ln(phi) for large phi.
     """
-    if phi_w < 0.0 or not math.isfinite(phi_w):
-        raise ValueError(f"phi_w must be finite and >= 0, got {phi_w}")
-    if phi_w == 0.0:
-        return 1.0
-    log_term = math.log1p(phi_w)
-    return log_term + log_term / phi_w
+    log_term, phi, zero = _threshold_terms(phi_w)
+    return scalar_or_array(np.where(zero, 1.0, log_term + log_term / phi))
 
 
-def h1_threshold_factor(phi_w: float) -> float:
+def h1_threshold_factor(phi_w: FloatOrArray) -> FloatOrArray:
     """Test threshold in units of the mean signal-present statistic per sample.
 
     Equals ln(1+phi)/phi, the previous factor divided by (1+phi); tends to 1
     as phi -> 0 and to 0 as phi -> infinity.
     """
-    if phi_w < 0.0 or not math.isfinite(phi_w):
-        raise ValueError(f"phi_w must be finite and >= 0, got {phi_w}")
-    if phi_w == 0.0:
-        return 1.0
-    return math.log1p(phi_w) / phi_w
+    log_term, phi, zero = _threshold_terms(phi_w)
+    return scalar_or_array(np.where(zero, 1.0, log_term / phi))

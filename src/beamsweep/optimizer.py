@@ -2,14 +2,19 @@
 
 The feasible range [1, m_max] is at most a few thousand integers and the
 error curve is only empirically unimodal, so every candidate is evaluated
-with ``analyze_scenario`` rather than trusting a bracketing search.
+rather than trusting a bracketing search. The whole curve is one array
+evaluation of the closed forms (``analyze_sectors``), and each of its
+entries equals ``analyze_scenario`` at that sector count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .analysis import DetectionAnalysis, analyze_scenario
+import numpy as np
+
+from .analysis import DetectionAnalysis, analyze_sectors
 from .core import ScenarioConfig
 
 
@@ -33,7 +38,7 @@ def sweep_sectors(cfg: ScenarioConfig) -> SweepCurve:
         raise ValueError(
             f"no feasible sector count: floor(n_antennas * theta_t / 2) = {m_max}"
         )
-    entries = tuple(analyze_scenario(cfg, m) for m in range(1, m_max + 1))
+    entries = analyze_sectors(cfg, np.arange(1, m_max + 1))
     # min keeps the first of equal values, i.e. the smallest m.
-    best = min(entries, key=lambda entry: entry.xi)
+    best = min(entries, key=attrgetter("xi"))
     return SweepCurve(entries=entries, m_star=best.m, xi_star=best.xi)

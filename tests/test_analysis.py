@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from beamsweep.analysis import (
@@ -267,3 +268,56 @@ class TestAnalyzeScenario:
             pinsker_lb=-1.0,
         )
         assert vacuous.pinsker_vacuous
+
+
+class TestArrayInputs:
+    """Each closed form takes floats or arrays; floats give Python floats back."""
+
+    L_S = np.array([1.0, 4.0, 16.0, 160.0, 4.0])
+    PHI = np.array([0.1, 1.0, 10.0, 1e-3, 1e-300])
+
+    @pytest.mark.parametrize(
+        "func",
+        [false_alarm, miss_detection, total_error, kl_divergence_exact],
+        ids=lambda f: f.__name__,
+    )
+    def test_array_equals_elementwise_floats(self, func):
+        values = func(self.L_S, self.PHI)
+        assert isinstance(values, np.ndarray) and values.shape == self.L_S.shape
+        for l_s, phi, value in zip(self.L_S.tolist(), self.PHI.tolist(), values.tolist()):
+            scalar = func(l_s, phi)
+            assert type(scalar) is float
+            assert scalar == value
+
+    def test_single_value_functions(self):
+        phis = self.PHI.tolist()
+        for func in (h0_threshold_factor, h1_threshold_factor, pinsker_lower_bound):
+            assert func(self.PHI).tolist() == [func(phi) for phi in phis]
+            assert all(type(func(phi)) is float for phi in phis)
+
+    def test_divergence_approx_over_sector_counts(self):
+        cfg = ScenarioConfig(
+            pa_watt=0.01, noise_watt=1e-8, theta_t=1.0, n_antennas=64, l_total=32, d_aw=50.0
+        )
+        rho = path_loss(cfg)
+        ms = np.arange(1, 33)
+        assert kl_divergence_approx(cfg, ms, rho).tolist() == [
+            kl_divergence_approx(cfg, m, rho) for m in ms.tolist()
+        ]
+        assert type(kl_divergence_approx(cfg, 3, rho)) is float
+
+    @pytest.mark.parametrize(
+        "func, args, message",
+        [
+            (false_alarm, ([1.0, 2.0, 3.0], [1.0, 0.0, -1.0]), "phi_w must be finite and > 0, got 0.0"),
+            (miss_detection, ([1.0, math.inf, 0.0], 1.0), "l_s must be finite and > 0, got inf"),
+            (kl_divergence_exact, (2.0, [0.0, math.nan, -1.0]), "phi_w must be finite and >= 0, got nan"),
+            (pinsker_lower_bound, ([1.0, -1e-9, -2.0],), "kl must be finite and >= 0, got -1e-09"),
+            (h0_threshold_factor, ([1.0, 2.0, math.inf],), "phi_w must be finite and >= 0, got inf"),
+        ],
+        ids=["false_alarm", "miss_detection", "kl_divergence_exact", "pinsker", "h0_threshold"],
+    )
+    def test_first_invalid_element_named(self, func, args, message):
+        with pytest.raises(ValueError) as info:
+            func(*(np.asarray(a) for a in args))
+        assert str(info.value) == message

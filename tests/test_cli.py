@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from beamsweep import ConvergenceError, analysis, cli, presets
-from beamsweep.analysis import analyze_scenario
+from beamsweep.analysis import DetectionAnalysis, analyze_scenario
 from beamsweep.cli import main
 from beamsweep.presets import (
     ConfigError,
@@ -122,6 +122,8 @@ class TestAnalyzeCommand:
         assert float(cells[4]) == result.beta
         assert abs(float(cells[5]) - (float(cells[3]) + float(cells[4]))) <= 1e-15
         assert cells[9] in ("true", "false")
+        # Every cell, the flag included, is format_value of the record field.
+        assert cells == [presets.format_value(getattr(result, n)) for n in lines[0].split(",")]
 
     def test_dump_config_round_trip(self, tmp_path, capsys):
         code = main(["analyze", "--config", FIG3_CFG, "--dump-config"])
@@ -399,6 +401,43 @@ class TestReproCommand:
         assert len(os.listdir(out_dir)) == 2
 
 
+class TestRecordRows:
+    """The printf row format writes what format_value writes, cell for cell."""
+
+    AWKWARD = (
+        1.0,
+        5e-324,
+        1e16,
+        0.1,
+        -0.0,
+        -1236857453.5568247,
+        0.1 + 0.2,
+        1.0 / 3.0,
+        2.0**53 + 2.0,
+        1.7976931348623157e308,
+        -2.2250738585072014e-308,
+        123456789012345678.0,
+        math.inf,
+        math.nan,
+    )
+
+    def records(self):
+        values = self.AWKWARD * 8
+        return [
+            DetectionAnalysis(m, *values[i : i + 8])
+            for i, m in enumerate((1, 2, 67, 4096, 2**40, 10**17, 7, 31, 89, 3, 5, 9, 11, 13))
+        ]
+
+    @pytest.mark.parametrize("columns", [cli.SWEEP_HEADER, cli._ANALYZE_COLUMNS])
+    def test_matches_format_value(self, columns):
+        records = self.records()
+        names = columns.split(",")
+        expected = [
+            ",".join(presets.format_value(getattr(r, name)) for name in names) for r in records
+        ]
+        assert cli._record_rows(columns, records) == expected
+
+
 class TestCrossCommand:
     """The commands that print the same curve print the same bytes."""
 
@@ -497,6 +536,49 @@ class TestExitCodes:
         code = main(["analyze", "--config", FIG3_CFG, "--set", "m=8", "--out", out])
         assert code == 2
         assert "gammainc returned nan" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            # phi_w overflows from m = 3 on.
+            ("pa_dbm=3100", "phi_w must be finite and >= 0, got inf"),
+            # phi_w underflows to 0 at every m.
+            ("d_aw=1e300", "phi_w must be finite and > 0, got 0.0"),
+        ],
+    )
+    def test_out_of_range_snr_on_sweep_maps_to_one(self, tmp_path, capsys, override, message):
+        out = str(tmp_path / "x.csv")
+        assert main(["sweep-m", "--config", FIG3_CFG, "--set", override, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "name, overrides, message",
+        [
+            ("gammainc", [], "gammainc returned nan at a=32.0, x=30.8482557865616"),
+            ("gammaincc", [], "gammaincc returned nan at l_s=32.0, phi_w=0.07558953382781133"),
+            # A blind detector takes alpha from gammainc too.
+            ("gammainc", ["--set", "pa_dbm=-3000"], "gammainc returned nan at a=32.0, x=32.0"),
+        ],
+    )
+    def test_non_finite_gamma_on_sweep_maps_to_two(
+        self, tmp_path, monkeypatch, capsys, name, overrides, message
+    ):
+        monkeypatch.setattr(analysis, name, lambda a, x: math.nan)
+        out = str(tmp_path / "x.csv")
+        assert main(["sweep-m", "--config", FIG3_CFG, *overrides, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["sweep-m", "analyze", "validate"])
+    def test_path_loss_overflow_maps_to_one(self, tmp_path, capsys, command):
+        out = str(tmp_path / "x.csv")
+        code = main([command, "--config", FIG3_CFG, "--set", "d_aw=1e-300", "--out", out])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: path loss overflows a float at d_aw=1e-300, path_exp=2.0, "
+            "carrier_hz=2400000000.0\n"
+        )
 
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from beamsweep.core import (
@@ -131,6 +132,35 @@ class TestLinkBudget:
     def test_path_loss_value(self):
         cfg = default_config(d_aw=100.0, carrier_hz=2.4e9, path_exp=2.0)
         assert path_loss(cfg) == pytest.approx(RHO_2G4_100M, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"d_aw": 1e-300}, "d_aw=1e-300, path_exp=2.0"),
+            ({"d_aw": 1e-3, "path_exp": 200.0}, "d_aw=0.001, path_exp=200.0"),
+            ({"carrier_hz": 1e-300}, "carrier_hz=1e-300"),
+        ],
+    )
+    def test_path_loss_overflow_is_a_value_error(self, overrides, named):
+        with pytest.raises(ValueError, match="path loss overflows") as info:
+            path_loss(default_config(**overrides))
+        assert named in str(info.value)
+
+    def test_sweep_plan_over_an_array_of_sector_counts(self):
+        cfg = default_config()
+        ms = np.arange(1, cfg.m_max + 1)
+        plan = make_sweep_plan(cfg, ms)
+        for m, l_sector, gain in zip(ms.tolist(), plan.l_sector.tolist(), plan.array_gain.tolist()):
+            one = make_sweep_plan(cfg, m)
+            assert type(one.l_sector) is float and type(one.m_sectors) is int
+            assert (one.l_sector, one.array_gain) == (l_sector, gain)
+
+    @pytest.mark.parametrize("bad", [0, 10**30, -(10**30)])
+    def test_sweep_plan_names_first_infeasible_count(self, bad):
+        cfg = default_config()
+        with pytest.raises(ValueError) as info:
+            make_sweep_plan(cfg, [1, bad, cfg.m_max + 1])
+        assert str(info.value) == f"sector count m={bad} outside the feasible range [1, 67]"
 
     def test_vanishing_power_keeps_threshold_finite(self):
         cfg = default_config(pa_watt=1e-300)

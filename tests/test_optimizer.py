@@ -1,11 +1,21 @@
 import math
 
 import pytest
+from scipy.special import gammainc, gammaincc
 
-from beamsweep.analysis import analyze_scenario, total_error
-from beamsweep.core import ScenarioConfig
+from beamsweep.analysis import (
+    DetectionAnalysis,
+    analyze_scenario,
+    false_alarm,
+    kl_divergence_approx,
+    kl_divergence_exact,
+    miss_detection,
+    pinsker_lower_bound,
+    total_error,
+)
+from beamsweep.core import ScenarioConfig, path_loss
 from beamsweep.optimizer import SweepCurve, sweep_sectors
-from beamsweep.presets import fig2_config, fig3_config
+from beamsweep.presets import PRESET_VALUES, build_scenario, fig2_config, fig3_config
 
 # Optimum of the small-budget preset, pinned by a pre-build evaluation with
 # an independent incomplete-gamma implementation.
@@ -104,3 +114,75 @@ class TestEdgeCases:
         assert all(e.xi == 1.0 for e in curve.entries)
         assert curve.m_star == 1
         assert curve.xi_star == 1.0
+
+
+def point_by_point(cfg: ScenarioConfig, m: int) -> DetectionAnalysis:
+    """The closed forms at one sector count in plain Python floats.
+
+    The reference for the array evaluation: the same arithmetic, one point
+    at a time, with math.log1p and scalar scipy calls.
+    """
+    l_s = cfg.l_total / m
+    rho = (3.0e8 / (4.0 * math.pi * cfg.carrier_hz)) ** 2 * cfg.d_aw ** (-cfg.path_exp)
+    phi = cfg.pa_watt * rho * (2.0 * m / cfg.theta_t) / cfg.noise_watt
+    log_term = math.log1p(phi)
+    x0 = l_s * (log_term + log_term / phi)
+    x1 = l_s * (log_term / phi)
+    if x0 == x1:
+        alpha = 1.0 - float(gammainc(l_s, x0))
+    else:
+        alpha = float(gammaincc(l_s, x0))
+    beta = float(gammainc(l_s, x1))
+    kl = l_s * (log_term - phi / (1.0 + phi))
+    signal = cfg.pa_watt * rho
+    width = cfg.noise_watt * cfg.theta_t
+    kl_approx = 4.0 * cfg.l_total * signal * signal * m / (width * width + 2.0 * signal * width * m)
+    return DetectionAnalysis(
+        m, l_s, phi, alpha, beta, alpha + beta, kl, kl_approx, 1.0 - math.sqrt(kl / 2.0)
+    )
+
+
+CURVE_SCENARIOS = {
+    "fig2": {**PRESET_VALUES["fig2"]},
+    "fig3": {**PRESET_VALUES["fig3"]},
+    "repro-fig2-noise-60": {**PRESET_VALUES["fig2"], "noise_dbm": -60.0},
+    "repro-fig3-l160": {**PRESET_VALUES["fig3"], "l_total": 160},
+    "4096-antennas": {**PRESET_VALUES["fig3"], "n_antennas": 4096, "theta_t": 2.0, "l_total": 100000},
+    "blind": {**PRESET_VALUES["fig3"], "pa_dbm": -3000.0},
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CURVE_SCENARIOS))
+def scenario_curve(request):
+    cfg = build_scenario(CURVE_SCENARIOS[request.param])
+    return request.param, cfg, sweep_sectors(cfg)
+
+
+class TestArrayCurve:
+    """The one array evaluation of a curve equals the closed forms point by point, bit for bit."""
+
+    def test_equals_point_by_point_reference(self, scenario_curve):
+        _, cfg, curve = scenario_curve
+        assert len(curve.entries) == cfg.m_max
+        assert curve.entries == tuple(point_by_point(cfg, m) for m in range(1, cfg.m_max + 1))
+
+    def test_equals_scalar_closed_forms(self, scenario_curve):
+        _, cfg, curve = scenario_curve
+        rho = path_loss(cfg)
+        for entry in curve.entries:
+            l_s, phi = entry.l_sector, entry.phi_w
+            assert type(entry.m) is int and type(l_s) is float and type(phi) is float
+            assert entry.alpha == false_alarm(l_s, phi)
+            assert entry.beta == miss_detection(l_s, phi)
+            assert entry.kl_exact == kl_divergence_exact(l_s, phi)
+            assert entry.kl_approx == kl_divergence_approx(cfg, entry.m, rho)
+            assert entry.pinsker_lb == pinsker_lower_bound(entry.kl_exact)
+
+    def test_minimum_is_first_minimum(self, scenario_curve):
+        name, _, curve = scenario_curve
+        xs = [entry.xi for entry in curve.entries]
+        assert curve.m_star == xs.index(min(xs)) + 1
+        assert curve.xi_star == min(xs)
+        if name == "blind":
+            assert all(x == 1.0 for x in xs)
+            assert curve.m_star == 1
