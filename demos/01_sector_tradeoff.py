@@ -21,15 +21,17 @@ print(f"  feasible sectors 1 .. {cfg.m_max}")
 print()
 
 curve = sweep_sectors(cfg)
+# One array per quantity over m = 1..m_max; element m - 1 belongs to m.
+a = curve.analysis
 
 print("   m   samples/sector     SNR    alpha     beta      xi")
-for entry in curve.entries:
-    if entry.m in (1, 2, 4, 8, 16, 24, 31, 40, 56, 67):
-        marker = "  <-- optimum" if entry.m == curve.m_star else ""
-        print(
-            f"  {entry.m:3d}   {entry.l_sector:10.3f}   {entry.phi_w:8.4f}"
-            f"  {entry.alpha:.4f}   {entry.beta:.4f}   {entry.xi:.4f}{marker}"
-        )
+for m in (1, 2, 4, 8, 16, 24, 31, 40, 56, 67):
+    i = m - 1
+    marker = "  <-- optimum" if m == curve.m_star else ""
+    print(
+        f"  {m:3d}   {a.l_sector[i]:10.3f}   {a.phi_w[i]:8.4f}"
+        f"  {a.alpha[i]:.4f}   {a.beta[i]:.4f}   {a.xi[i]:.4f}{marker}"
+    )
 
 print()
 print(
@@ -38,7 +40,7 @@ print(
 )
 print(
     "extra beamforming gain no longer compensates for having fewer than "
-    f"{curve.entries[curve.m_star - 1].l_sector:.1f} samples in each sector."
+    f"{a.l_sector[curve.m_star - 1]:.1f} samples in each sector."
 )
 print()
 

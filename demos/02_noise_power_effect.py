@@ -12,6 +12,8 @@ Run: python demos/02_noise_power_effect.py
 import math
 from dataclasses import replace
 
+import numpy as np
+
 from beamsweep import dbm_to_watt, fig2_config, sweep_sectors
 
 base = fig2_config()
@@ -30,15 +32,13 @@ print(header)
 for m in (1, 2, 4, 8, 16, 32, 67):
     row = f"  {m:3d}  "
     for level in noise_dbm_levels:
-        row += f"  {curves[level].entries[m - 1].xi:11.3e}"
+        row += f"  {curves[level].analysis.xi[m - 1]:11.3e}"
     print(row)
 
 print()
 for level in noise_dbm_levels:
     curve = curves[level]
-    monotone = all(
-        b.xi >= a.xi for a, b in zip(curve.entries, curve.entries[1:])
-    )
+    monotone = bool(np.all(np.diff(curve.analysis.xi) >= 0.0))
     print(
         f"noise {level:.0f} dBm: best sector count m = {curve.m_star}, "
         f"error non-decreasing in m: {monotone}"
@@ -48,5 +48,5 @@ print()
 print("Quieter receivers (lower noise) detect better at every sector count;")
 print("log-scale the xi column to see the separation, e.g. at m = 1:")
 for level in noise_dbm_levels:
-    xi = curves[level].entries[0].xi
+    xi = curves[level].analysis.xi[0]
     print(f"  {level:.0f} dBm -> log10(xi) = {math.log10(xi):7.1f}")

@@ -12,7 +12,6 @@ from .analysis import (
     ConvergenceError,
     DetectionAnalysis,
     analyze_scenario,
-    analyze_sectors,
     false_alarm,
     kl_divergence_approx,
     kl_divergence_exact,
@@ -31,7 +30,6 @@ from .core import (
     make_link_budget,
     make_sweep_plan,
     path_loss,
-    watt_to_dbm,
 )
 from .montecarlo import (
     McConfig,
@@ -54,7 +52,6 @@ __all__ = [
     "SweepCurve",
     "SweepPlan",
     "analyze_scenario",
-    "analyze_sectors",
     "dbm_to_watt",
     "estimate_errors",
     "false_alarm",
@@ -73,5 +70,4 @@ __all__ = [
     "retry_seed",
     "sweep_sectors",
     "total_error",
-    "watt_to_dbm",
 ]

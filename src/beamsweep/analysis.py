@@ -10,9 +10,9 @@ non-finite result raises ConvergenceError.
 
 Every closed form takes floats or numpy arrays: a float input returns a
 Python float, an array input an array, and an invalid element raises the
-error a call on that element alone would raise. ``analyze_sectors``
-evaluates a whole error curve as one array pass over its sector counts;
-``analyze_scenario`` is its one-point case.
+error a call on that element alone would raise. ``analyze_scenario``
+evaluates one sector count, or a whole error curve as one array pass over
+its sector counts; either way the result is one ``DetectionAnalysis``.
 """
 
 from __future__ import annotations
@@ -43,24 +43,26 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class DetectionAnalysis:
-    """Closed-form error probabilities and divergence bounds at one operating point.
+    """Closed-form error probabilities and divergence bounds at sector count ``m``.
 
-    The point is sector count ``m`` of a scenario, which fixes the normalized
-    coordinates ``l_sector`` and ``phi_w`` that every other field depends on.
+    ``m`` of a scenario fixes the normalized coordinates ``l_sector`` and
+    ``phi_w`` that every other field depends on. For one sector count every
+    field is a Python number; for an array of them every field is an array
+    over them, one column of the error curve.
     """
 
-    m: int
-    l_sector: float
-    phi_w: float
-    alpha: float
-    beta: float
-    xi: float
-    kl_exact: float
-    kl_approx: float
-    pinsker_lb: float
+    m: int | np.ndarray
+    l_sector: FloatOrArray
+    phi_w: FloatOrArray
+    alpha: FloatOrArray
+    beta: FloatOrArray
+    xi: FloatOrArray
+    kl_exact: FloatOrArray
+    kl_approx: FloatOrArray
+    pinsker_lb: FloatOrArray
 
     @property
-    def pinsker_vacuous(self) -> bool:
+    def pinsker_vacuous(self) -> bool | np.ndarray:
         """True when the lower bound is negative and therefore uninformative."""
         return self.pinsker_lb < 0.0
 
@@ -185,14 +187,15 @@ def pinsker_lower_bound(kl: FloatOrArray) -> FloatOrArray:
     return scalar_or_array(1.0 - np.sqrt(kl / 2.0))
 
 
-def analyze_sectors(
-    cfg: ScenarioConfig, m: Sequence[int] | np.ndarray
-) -> tuple[DetectionAnalysis, ...]:
-    """Closed-form analysis at each sector count of the sequence ``m``.
+def analyze_scenario(
+    cfg: ScenarioConfig, m: int | Sequence[int] | np.ndarray
+) -> DetectionAnalysis:
+    """The closed-form analysis of a scenario at sector count ``m``.
 
-    One array evaluation over all of them. Each check names the first sector
-    count that fails it, and the checks run in the order one point runs
-    them; along a curve, where phi_w grows with m, that is the error a
+    A single ``m`` gives Python numbers; a sequence or array of them gives
+    one array per field, evaluated in one pass. Each check names the first
+    sector count that fails it, and the checks run in the order one point
+    runs them; along a curve, where phi_w grows with m, that is the error a
     point-by-point evaluation would raise first.
     """
     # Overflow gives inf and nan as Python floats would, without warnings;
@@ -203,20 +206,7 @@ def analyze_sectors(
         alpha = false_alarm(plan.l_sector, budget.phi_w)
         beta = miss_detection(plan.l_sector, budget.phi_w)
         kl = kl_divergence_exact(plan.l_sector, budget.phi_w)
-        columns = (
-            plan.m_sectors,
-            plan.l_sector,
-            budget.phi_w,
-            alpha,
-            beta,
-            alpha + beta,
-            kl,
-            kl_divergence_approx(cfg, plan.m_sectors, budget.rho_aw),
-            pinsker_lower_bound(kl),
+        return DetectionAnalysis(
+            plan.m_sectors, plan.l_sector, budget.phi_w, alpha, beta, alpha + beta, kl,
+            kl_divergence_approx(cfg, plan.m_sectors, budget.rho_aw), pinsker_lower_bound(kl),
         )
-    return tuple(map(DetectionAnalysis, *(column.tolist() for column in columns)))
-
-
-def analyze_scenario(cfg: ScenarioConfig, m: int) -> DetectionAnalysis:
-    """Evaluate the full closed-form analysis for a scenario at sector count m."""
-    return analyze_sectors(cfg, [m])[0]

@@ -10,8 +10,9 @@ Subcommands:
 This module holds the argparse parser and one handler per subcommand; each
 subparser names its handler. The config-file format (reading, canonical
 dump, value formatting) lives in ``presets``. Each CSV column of a curve or
-an ``analyze`` row is the ``DetectionAnalysis`` field of the same name, and
-one printf format built from the header writes every such row.
+an ``analyze`` row is the ``DetectionAnalysis`` field of the same name, read
+as one column of the curve's (or the point's) analysis, and one printf
+format built from the header writes every such row.
 Exit codes: 0 success, 1 validation or parse failure, 2 numerical
 convergence failure, 3 Monte Carlo validation failure.
 """
@@ -23,7 +24,8 @@ import os
 import sys
 import tempfile
 from collections.abc import Iterable, Sequence
-from operator import attrgetter
+
+import numpy as np
 
 from .analysis import (
     ConvergenceError,
@@ -34,7 +36,7 @@ from .analysis import (
 )
 from .core import ScenarioConfig, make_link_budget, make_sweep_plan
 from .montecarlo import McConfig, estimate_errors, retry_seed
-from .optimizer import sweep_sectors
+from .optimizer import SweepCurve, sweep_sectors
 from .presets import (
     CONFIG_KEYS,
     INT_KEYS,
@@ -128,8 +130,8 @@ def _csv(header: str, rows: Iterable[Sequence]) -> str:
     return _text([header, *(",".join(map(format_value, row)) for row in rows)])
 
 
-def _record_rows(columns: str, records: Iterable[DetectionAnalysis]) -> list[str]:
-    """CSV rows of analysis records; each column is the record field of that name.
+def _record_rows(columns: str, analysis: DetectionAnalysis) -> list[str]:
+    """CSV rows of an analysis, one per sector count; each column is its field of that name.
 
     One printf format, built from the column names, writes every row: '%d'
     for the sector count and '%.17g' for the floats, which is the routine
@@ -137,7 +139,16 @@ def _record_rows(columns: str, records: Iterable[DetectionAnalysis]) -> list[str
     """
     names = columns.split(",")
     row = ",".join("%d" if name == "m" else "%.17g" for name in names)
-    return list(map(row.__mod__, map(attrgetter(*names), records)))
+    cells = (np.atleast_1d(getattr(analysis, name)).tolist() for name in names)
+    return list(map(row.__mod__, zip(*cells)))
+
+
+def _curve_text(curve: SweepCurve, with_minimizer: bool = False) -> str:
+    """The CSV of an error curve, optionally with the minimizer as a trailer line."""
+    lines = [SWEEP_HEADER, *_record_rows(SWEEP_HEADER, curve.analysis)]
+    if with_minimizer:
+        lines.append(f"# m_star={curve.m_star},xi_star={format_value(curve.xi_star)}")
+    return _text(lines)
 
 
 def _require_out(args: argparse.Namespace) -> str:
@@ -172,7 +183,7 @@ def _run_analyze(args: argparse.Namespace, raw: dict[str, str]) -> int:
             return EXIT_OK
     out = _require_out(args)
     result = analyze_scenario(cfg, m)
-    (row,) = _record_rows(_ANALYZE_COLUMNS, [result])
+    (row,) = _record_rows(_ANALYZE_COLUMNS, result)
     _write_atomic(out, _text([ANALYZE_HEADER, f"{row},{format_value(result.pinsker_vacuous)}"]))
     return EXIT_OK
 
@@ -183,10 +194,7 @@ def _run_curve(args: argparse.Namespace, raw: dict[str, str]) -> int:
     _reject_unknown(raw)
     out = _require_out(args)
     curve = sweep_sectors(cfg)
-    lines = [SWEEP_HEADER, *_record_rows(SWEEP_HEADER, curve.entries)]
-    if args.command == "optimize":
-        lines.append(f"# m_star={curve.m_star},xi_star={format_value(curve.xi_star)}")
-    _write_atomic(out, _text(lines))
+    _write_atomic(out, _curve_text(curve, with_minimizer=args.command == "optimize"))
     if args.command == "optimize":
         print(f"m_star={curve.m_star} xi_star={format_value(curve.xi_star)}")
     return EXIT_OK
@@ -248,37 +256,22 @@ def _run_validate(args: argparse.Namespace, raw: dict[str, str]) -> int:
         for retried, seed in ((False, args.seed), (True, retry_seed(args.seed))):
             mc = McConfig(trials=args.trials, seed=seed, l_sector_int=l_s)
             est = estimate_errors(phi_w, mc)
-            ok = _within_three_halfwidths(est, alpha, beta)
+            ok = (
+                abs(est.alpha_hat - alpha) <= 3.0 * est.ci_halfwidth_alpha
+                and abs(est.beta_hat - beta) <= 3.0 * est.ci_halfwidth_beta
+            )
             if ok:
                 break
         all_pass = all_pass and ok
-        rows.append(
-            [
-                l_s,
-                phi_w,
-                args.trials,
-                seed,
-                retried,
-                alpha,
-                est.alpha_hat,
-                est.ci_halfwidth_alpha,
-                beta,
-                est.beta_hat,
-                est.ci_halfwidth_beta,
-                alpha + beta,
-                est.xi_hat,
-                ok,
-            ]
-        )
+        # In VALIDATE_HEADER order.
+        rows.append([
+            l_s, phi_w, args.trials, seed, retried,
+            alpha, est.alpha_hat, est.ci_halfwidth_alpha,
+            beta, est.beta_hat, est.ci_halfwidth_beta,
+            alpha + beta, est.xi_hat, ok,
+        ])
     _write_atomic(out, _csv(VALIDATE_HEADER, rows))
     return EXIT_OK if all_pass else EXIT_MC_FAIL
-
-
-def _within_three_halfwidths(est, alpha: float, beta: float) -> bool:
-    return (
-        abs(est.alpha_hat - alpha) <= 3.0 * est.ci_halfwidth_alpha
-        and abs(est.beta_hat - beta) <= 3.0 * est.ci_halfwidth_beta
-    )
 
 
 def _run_repro(args: argparse.Namespace, raw: dict[str, str]) -> int:
@@ -299,7 +292,7 @@ def _run_repro(args: argparse.Namespace, raw: dict[str, str]) -> int:
         # share a file name.
         name = f"{args.preset}_{sweep_key}_{format_value(value)}.csv"
         path = os.path.join(out_dir, name)
-        _write_atomic(path, _text([SWEEP_HEADER, *_record_rows(SWEEP_HEADER, curve.entries)]))
+        _write_atomic(path, _curve_text(curve))
         print(path)
     return EXIT_OK
 

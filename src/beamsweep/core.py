@@ -7,7 +7,8 @@ boundary.
 
 Sector counts and SNRs may be scalars or numpy arrays, so a whole error
 curve is one array evaluation: a scalar input gives Python numbers back, an
-array input arrays of its shape.
+array input arrays of its shape, which the curve's ``DetectionAnalysis``
+keeps as its columns.
 """
 
 from __future__ import annotations
@@ -54,15 +55,14 @@ def elementwise_log1p(x: np.ndarray) -> np.ndarray:
 
 
 def dbm_to_watt(p_dbm: float) -> float:
-    """Convert a power level in dBm to watts."""
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    """Convert a power level in dBm to watts.
 
-
-def watt_to_dbm(p_watt: float) -> float:
-    """Convert a power level in watts to dBm."""
-    if not p_watt > 0.0:
-        raise ValueError(f"power must be positive to express in dBm, got {p_watt}")
-    return 10.0 * math.log10(p_watt) + 30.0
+    Raises ValueError if the power in watts overflows a float.
+    """
+    try:
+        return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"{p_dbm} dBm overflows a float in watts") from None
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,8 @@ class ScenarioConfig:
             raise ValueError(f"theta_t must lie in (0, 2], got {self.theta_t}")
         if self.n_antennas < 1:
             raise ValueError(f"n_antennas must be >= 1, got {self.n_antennas}")
+        if not math.isfinite(self.n_antennas * self.theta_t):  # m_max must be finite
+            raise ValueError(f"n_antennas * theta_t overflows a float, got {self.n_antennas}")
         if self.l_total < 1:
             raise ValueError(f"l_total must be >= 1, got {self.l_total}")
         if not (math.isfinite(self.d_aw) and self.d_aw > 0.0):
@@ -119,25 +121,22 @@ class ScenarioConfig:
 class SweepPlan:
     """Per-sector quantities for a sweep divided into ``m_sectors`` sectors.
 
-    For an array of sector counts every field but ``m_max`` is an array over
-    them. ``l_sector`` is kept real-valued; only the Monte Carlo validator
-    needs an integer sample count and floors it at its own boundary.
+    For an array of sector counts every field is an array over them.
+    ``l_sector`` is kept real-valued; only the Monte Carlo validator needs an
+    integer sample count and floors it at its own boundary.
     """
 
     m_sectors: int | np.ndarray
-    sector_width: FloatOrArray
     l_sector: FloatOrArray
     array_gain: FloatOrArray
-    m_max: int
 
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Path loss, post-beamforming SNR, and the energy-test threshold."""
+    """Path loss and the post-beamforming SNR."""
 
     rho_aw: float
     phi_w: FloatOrArray
-    eta: FloatOrArray
 
 
 def path_loss(cfg: ScenarioConfig) -> float:
@@ -173,24 +172,20 @@ def make_sweep_plan(cfg: ScenarioConfig, m: int | np.ndarray) -> SweepPlan:
     l_sector = np.array([cfg.l_total / k for k in m.ravel().tolist()], dtype=float)
     return SweepPlan(
         m_sectors=scalar_or_array(m),
-        sector_width=scalar_or_array(cfg.theta_t / m),
         l_sector=scalar_or_array(l_sector.reshape(m.shape)),
         array_gain=scalar_or_array(2.0 * m / cfg.theta_t),
-        m_max=m_max,
     )
 
 
 def make_link_budget(cfg: ScenarioConfig, plan: SweepPlan) -> LinkBudget:
-    """Compute path loss, the warden's SNR, and the decision threshold.
+    """Compute the path loss and the warden's SNR phi_w = pa * rho * gain / noise.
 
-    The threshold is evaluated as eta = noise * gain * ln(1+phi)(1+1/phi),
-    which is algebraically identical to ln(1+phi) (noise/(pa*rho) + gain) *
-    noise but stays finite as pa -> 0.
+    Raises ValueError at the first sector count whose phi_w overflows.
     """
     rho = path_loss(cfg)
     phi_w = cfg.pa_watt * rho * plan.array_gain / cfg.noise_watt
-    eta = cfg.noise_watt * plan.array_gain * h0_threshold_factor(phi_w)
-    return LinkBudget(rho_aw=rho, phi_w=phi_w, eta=eta)
+    require(np.isfinite(phi_w) & (phi_w >= 0.0), "phi_w must be finite and >= 0, got {}", phi_w)
+    return LinkBudget(rho_aw=rho, phi_w=phi_w)
 
 
 def _threshold_terms(phi_w: FloatOrArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -81,7 +82,10 @@ def _statistics(uniforms: np.ndarray, phi_w: float, under_h1: bool) -> np.ndarra
     np.log1p(np.negative(uniforms, out=uniforms), out=uniforms)
     stats = -uniforms.sum(axis=1)
     if under_h1:
-        stats *= 1.0 + phi_w
+        # Near the float limit of phi_w a statistic overflows to inf, which
+        # still compares above any finite threshold.
+        with np.errstate(over="ignore"):
+            stats *= 1.0 + phi_w
     return stats
 
 
@@ -96,21 +100,27 @@ def _simulate_batch(
     """Statistics for trials [0, trials), yielded one chunk at a time.
 
     ``chunk`` is the number of trials per chunk; by default a chunk holds
-    about _CHUNK_ELEMENTS uniforms. The concatenated statistics do not depend
-    on the chunk size, and only one chunk is held at a time.
+    about _CHUNK_ELEMENTS uniforms. A trial wider than that is a chunk of its
+    own, drawn in pieces of _CHUNK_ELEMENTS uniforms, each from its own
+    window of the trial's stream, and its statistic is the sum over the
+    pieces. The concatenated statistics do not depend on the chunk size, and
+    only one chunk or piece is held at a time.
     """
     blocks = _blocks_per_trial(l_s)
-    stride = 4 * blocks
-    if chunk is None:
-        chunk = max(1, _CHUNK_ELEMENTS // stride)
+    piece = min(4 * blocks, _CHUNK_ELEMENTS)
+    if chunk is None or piece < 4 * blocks:
+        chunk = _CHUNK_ELEMENTS // piece
     key = np.array([seed, 1 if under_h1 else 0], dtype=np.uint64)
-    buffer = np.empty((min(chunk, trials), stride))
+    buffer = np.empty((min(chunk, trials), piece))
     for start in range(0, trials, chunk):
         n = min(chunk, trials - start)
-        bits = Philox(key=key)
-        bits.advance(start * blocks)
-        uniforms = Generator(bits).random(out=buffer[:n])[:, :l_s]
-        yield _statistics(uniforms, phi_w, under_h1)
+        pieces = []
+        for offset in range(0, l_s, piece):
+            bits = Philox(key=key)
+            bits.advance(start * blocks + offset // 4)
+            uniforms = Generator(bits).random(out=buffer[:n])[:, : min(piece, l_s - offset)]
+            pieces.append(_statistics(uniforms, phi_w, under_h1))
+        yield reduce(np.add, pieces)
 
 
 def _wilson_halfwidth(p_hat: float, n: int) -> float:

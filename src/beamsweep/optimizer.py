@@ -3,18 +3,17 @@
 The feasible range [1, m_max] is at most a few thousand integers and the
 error curve is only empirically unimodal, so every candidate is evaluated
 rather than trusting a bracketing search. The whole curve is one array
-evaluation of the closed forms (``analyze_sectors``), and each of its
-entries equals ``analyze_scenario`` at that sector count.
+evaluation of the closed forms, ``analyze_scenario`` over every sector count,
+and its element at m equals ``analyze_scenario`` at that sector count alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
-from .analysis import DetectionAnalysis, analyze_sectors
+from .analysis import DetectionAnalysis, analyze_scenario
 from .core import ScenarioConfig
 
 
@@ -22,11 +21,12 @@ from .core import ScenarioConfig
 class SweepCurve:
     """Error curve over every feasible sector count, with its minimizer.
 
-    Ties are broken toward the smallest sector count (fewer sectors means a
-    shorter physical sweep).
+    ``analysis`` holds one array per field over m = 1..m_max. Ties are broken
+    toward the smallest sector count (fewer sectors means a shorter physical
+    sweep).
     """
 
-    entries: tuple[DetectionAnalysis, ...]
+    analysis: DetectionAnalysis
     m_star: int
     xi_star: float
 
@@ -38,7 +38,9 @@ def sweep_sectors(cfg: ScenarioConfig) -> SweepCurve:
         raise ValueError(
             f"no feasible sector count: floor(n_antennas * theta_t / 2) = {m_max}"
         )
-    entries = analyze_sectors(cfg, np.arange(1, m_max + 1))
-    # min keeps the first of equal values, i.e. the smallest m.
-    best = min(entries, key=attrgetter("xi"))
-    return SweepCurve(entries=entries, m_star=best.m, xi_star=best.xi)
+    analysis = analyze_scenario(cfg, np.arange(1, m_max + 1))
+    # argmin returns the first of equal values, i.e. the smallest m.
+    best = int(np.argmin(analysis.xi))
+    return SweepCurve(
+        analysis=analysis, m_star=int(analysis.m[best]), xi_star=float(analysis.xi[best])
+    )

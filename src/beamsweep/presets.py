@@ -18,6 +18,7 @@ further.
 from __future__ import annotations
 
 import math
+import sys
 
 from .core import ScenarioConfig, dbm_to_watt
 
@@ -80,21 +81,18 @@ def effective_values(values: dict[str, float | int]) -> dict[str, float | int]:
 
 
 def parse_scalar(key: str, text: str, as_int: bool, where: str = "") -> float | int:
-    """One config or override value: an integer, or a finite number."""
+    """One config or override value: an integer or a number, finite as a float."""
     prefix = f"{where}: " if where else ""
-    if as_int:
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(
-                f"{prefix}key '{key}' expects an integer, got '{text}'"
-            ) from None
     try:
-        value = float(text)
+        value = int(text) if as_int else float(text)
     except ValueError:
-        raise ConfigError(f"{prefix}key '{key}' expects a number, got '{text}'") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{prefix}key '{key}' must be finite, got '{text}'")
+        kind = "an integer" if as_int else "a number"
+        raise ConfigError(f"{prefix}key '{key}' expects {kind}, got '{text}'") from None
+    # Integers are used as floats too (l_total / m, l_s, m_max), so both
+    # kinds must lie within the float range; nan lies nowhere.
+    if not abs(value) <= sys.float_info.max:
+        problem = "exceeds the float range" if as_int else "must be finite"
+        raise ConfigError(f"{prefix}key '{key}' {problem}, got '{text}'")
     return value
 
 
@@ -140,8 +138,8 @@ def build_scenario(values: dict[str, float | int]) -> ScenarioConfig:
     """Construct a validated ScenarioConfig from config-file values."""
     full = effective_values(values)
     return ScenarioConfig(
-        pa_watt=dbm_to_watt(float(full["pa_dbm"])),
-        noise_watt=dbm_to_watt(float(full["noise_dbm"])),
+        pa_watt=_watt(full, "pa_dbm"),
+        noise_watt=_watt(full, "noise_dbm"),
         theta_t=float(full["theta_t"]),
         n_antennas=int(full["n_antennas"]),
         l_total=int(full["l_total"]),
@@ -149,6 +147,14 @@ def build_scenario(values: dict[str, float | int]) -> ScenarioConfig:
         path_exp=float(full["path_exp"]),
         carrier_hz=float(full["carrier_hz"]),
     )
+
+
+def _watt(values: dict[str, float | int], key: str) -> float:
+    """The dBm value of ``key`` in watts; an overflow names the key."""
+    try:
+        return dbm_to_watt(float(values[key]))
+    except ValueError as exc:
+        raise ConfigError(f"key '{key}': {exc}") from None
 
 
 def fig2_config() -> ScenarioConfig:

@@ -7,6 +7,7 @@ stated three-half-width rule with one reseeded retry per cell.
 
 import math
 
+import numpy as np
 import pytest
 
 from beamsweep import reg_lower_gamma
@@ -101,9 +102,9 @@ def test_criterion_05_pinsker_dominance():
     worst_gap = -math.inf
     count = 0
     for cfg in (fig2_config(), fig3_config()):
-        for entry in sweep_sectors(cfg).entries:
-            worst_gap = max(worst_gap, entry.pinsker_lb - entry.xi)
-            count += 1
+        curve = sweep_sectors(cfg).analysis
+        worst_gap = max(worst_gap, float(np.max(curve.pinsker_lb - curve.xi)))
+        count += curve.xi.size
     ok = worst_gap <= 1e-12
     _report(5, ok, f"max(pinsker_lb - xi) = {worst_gap:.3e} over {count} sweep entries")
     assert ok
@@ -142,12 +143,15 @@ def test_criterion_06b_kl_approximation_small_snr_accuracy():
     violations = []
     for cfg in (fig2_config(), fig3_config()):
         rho = path_loss(cfg)
-        for entry in sweep_sectors(cfg).entries:
-            if entry.phi_w <= 0.05:
+        curve = sweep_sectors(cfg).analysis
+        for m, phi_w, kl_exact in zip(
+            curve.m.tolist(), curve.phi_w.tolist(), curve.kl_exact.tolist()
+        ):
+            if phi_w <= 0.05:
                 checked += 1
-                rel = abs(kl_divergence_approx(cfg, entry.m, rho) - entry.kl_exact) / entry.kl_exact
+                rel = abs(kl_divergence_approx(cfg, m, rho) - kl_exact) / kl_exact
                 if rel > 0.05:
-                    violations.append((entry.m, entry.phi_w, rel))
+                    violations.append((m, phi_w, rel))
     ok = not violations
     if checked == 0:
         detail = (
@@ -162,7 +166,7 @@ def test_criterion_06b_kl_approximation_small_snr_accuracy():
 
 def test_criterion_07_trend_regimes():
     small = sweep_sectors(fig3_config())
-    xs = [e.xi for e in small.entries]
+    xs = small.analysis.xi.tolist()
     k = small.m_star - 1
     small_ok = (
         1 < small.m_star < 67
@@ -171,7 +175,7 @@ def test_criterion_07_trend_regimes():
     )
 
     large = sweep_sectors(fig2_config())
-    xl = [e.xi for e in large.entries]
+    xl = large.analysis.xi.tolist()
     large_ok = large.m_star == 1 and all(b >= a for a, b in zip(xl, xl[1:]))
 
     ok = small_ok and large_ok

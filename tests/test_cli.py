@@ -1,8 +1,12 @@
+import dataclasses
 import math
 import os
+import random
 import threading
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from beamsweep import ConvergenceError, analysis, cli, presets
@@ -19,6 +23,7 @@ from beamsweep.core import ScenarioConfig
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIG2_CFG = str(REPO_ROOT / "configs" / "fig2.cfg")
 FIG3_CFG = str(REPO_ROOT / "configs" / "fig3.cfg")
+FIELDS = [field.name for field in dataclasses.fields(DetectionAnalysis)]
 
 
 def write_config(tmp_path, text: str) -> str:
@@ -421,21 +426,26 @@ class TestRecordRows:
         math.nan,
     )
 
-    def records(self):
+    SECTOR_COUNTS = (1, 2, 67, 4096, 2**40, 10**17, 7, 31, 89, 3, 5, 9, 11, 13)
+
+    def rows(self):
+        """Row i holds sector count i and the eight AWKWARD values from i on."""
         values = self.AWKWARD * 8
-        return [
-            DetectionAnalysis(m, *values[i : i + 8])
-            for i, m in enumerate((1, 2, 67, 4096, 2**40, 10**17, 7, 31, 89, 3, 5, 9, 11, 13))
-        ]
+        return [(m, *values[i : i + 8]) for i, m in enumerate(self.SECTOR_COUNTS)]
 
     @pytest.mark.parametrize("columns", [cli.SWEEP_HEADER, cli._ANALYZE_COLUMNS])
     def test_matches_format_value(self, columns):
-        records = self.records()
+        rows = self.rows()
+        analysis = DetectionAnalysis(*map(np.array, zip(*rows)))
         names = columns.split(",")
         expected = [
-            ",".join(presets.format_value(getattr(r, name)) for name in names) for r in records
+            ",".join(presets.format_value(dict(zip(FIELDS, row))[name]) for name in names)
+            for row in rows
         ]
-        assert cli._record_rows(columns, records) == expected
+        assert cli._record_rows(columns, analysis) == expected
+        # A point's analysis holds Python numbers and gives its one row.
+        for row, line in zip(rows, expected):
+            assert cli._record_rows(columns, DetectionAnalysis(*row)) == [line]
 
 
 class TestCrossCommand:
@@ -582,3 +592,103 @@ class TestExitCodes:
 
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["sweep-m", "--config", FIG3_CFG, "--set", f"l_total={10**309}"],
+                f"--set: key 'l_total' exceeds the float range, got '{10**309}'",
+            ),
+            (
+                ["sweep-m", "--config", FIG3_CFG, "--set", f"n_antennas={10**309}"],
+                f"--set: key 'n_antennas' exceeds the float range, got '{10**309}'",
+            ),
+            (
+                ["sweep-m", "--config", FIG3_CFG, "--set", "pa_dbm=1e308"],
+                "key 'pa_dbm': 1e+308 dBm overflows a float in watts",
+            ),
+            (
+                ["validate", "--set", f"l_s={10**309}"],
+                f"--set: key 'l_s' exceeds the float range, got '{10**309}'",
+            ),
+            (
+                # Within the float range, but m_max = n_antennas * theta_t / 2 is not.
+                ["sweep-m", "--config", FIG3_CFG, "--set", f"n_antennas={10**308}",
+                 "--set", "theta_t=2"],
+                f"n_antennas * theta_t overflows a float, got {10**308}",
+            ),
+        ],
+        ids=["l_total", "n_antennas", "pa_dbm", "validate-l_s", "m_max"],
+    )
+    def test_beyond_float_range_maps_to_one(self, tmp_path, capsys, argv, message):
+        out = str(tmp_path / "x.csv")
+        assert main([*argv, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.path.exists(out)
+
+
+# Edge values for the seeded exit-code test: integers, floats and the empty
+# list. No integer lies between 2 and 1e308, so no draw allocates a large
+# curve or a long Monte Carlo row.
+EDGE_VALUES = (
+    "0", "-1", "1", str(10**309),
+    "0.0", "5e-324", "-5e-324", "1e308", "-1e308", "nan", "inf",
+    "",
+)
+SCENARIO_KEYS = sorted(presets.CONFIG_KEYS)
+# Command line (without --out) and the --set keys it takes.
+FUZZ_COMMANDS = {
+    "analyze": (["analyze"], [*SCENARIO_KEYS, "m"]),
+    "sweep-m": (["sweep-m"], SCENARIO_KEYS),
+    "optimize": (["optimize"], SCENARIO_KEYS),
+    "validate --config": (["validate", "--trials", "50"], [*SCENARIO_KEYS, "m"]),
+    "validate": (["validate", "--trials", "50"], ["l_s", "phi_w"]),
+    "repro fig2": (["repro", "fig2"], SCENARIO_KEYS),
+    "repro fig3": (["repro", "fig3"], SCENARIO_KEYS),
+}
+
+
+class TestEveryInputMapsToAnExitCode:
+    """Seeded draws of edge values into config files and --set overrides."""
+
+    DRAWS = 300
+
+    def draw(self, rng, tmp_path, index):
+        name = rng.choice(sorted(FUZZ_COMMANDS))
+        argv, set_keys = FUZZ_COMMANDS[name]
+        argv = list(argv)
+        key, value = rng.choice(set_keys), rng.choice(EDGE_VALUES)
+        takes_config = name not in ("validate", "repro fig2", "repro fig3")
+        if takes_config:
+            preset = rng.choice(["fig2", "fig3"])
+            values = {k: presets.format_value(v) for k, v in presets.PRESET_VALUES[preset].items()}
+            if key in presets.CONFIG_KEYS and rng.random() < 0.5:
+                # The value goes into the config file rather than --set.
+                values[key] = value
+                key = None
+            config = tmp_path / f"draw{index}.cfg"
+            config.write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+            argv += ["--config", str(config)]
+        if key is not None:
+            argv += ["--set", f"{key}={value}"]
+        return name, [*argv, "--out", str(tmp_path / f"out{index}")]
+
+    def test_seeded_edge_values(self, tmp_path, capsys):
+        rng = random.Random(20261018)
+        seen = set()
+        for index in range(self.DRAWS):
+            name, argv = self.draw(rng, tmp_path, index)
+            seen.add(name)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), argv
+            assert all(line.startswith(("error: ", "note: ")) for line in err.splitlines()), (
+                argv,
+                err,
+            )
+            assert not caught, (argv, [str(w.message) for w in caught])
+        assert seen == set(FUZZ_COMMANDS)

@@ -120,6 +120,32 @@ class TestDeterminism:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
+    def test_peak_memory_bounded_for_a_wide_row(self):
+        # A row of 2**22 samples was held whole, 33.6 MB traced.
+        tracemalloc.start()
+        try:
+            estimate_errors(1.0, McConfig(trials=2, seed=1, l_sector_int=1 << 22))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
+    @pytest.mark.parametrize("under_h1", [False, True])
+    def test_wide_row_is_the_sum_over_its_pieces(self, under_h1):
+        # Just over one chunk: a full piece and a piece of three samples.
+        l_s, phi, seed, trials = (1 << 18) + 3, 0.5, 9, 3
+        blocks = (l_s + 3) // 4
+        key = np.array([seed, int(under_h1)], dtype=np.uint64)
+        expected = []
+        for trial in range(trials):
+            bits = np.random.Philox(key=key)
+            bits.advance(trial * blocks)
+            uniforms = np.random.Generator(bits).random((1, l_s))
+            expected.append(_statistics(uniforms, phi, under_h1)[0])
+        stats = simulate(l_s, phi, under_h1, seed=seed, trials=trials)
+        assert stats.shape == (trials,)
+        np.testing.assert_allclose(stats, expected, rtol=1e-12, atol=0.0)
+
     def test_hypotheses_use_distinct_streams(self):
         h0 = simulate(2, 1.0, False, seed=9, trials=50)
         h1 = simulate(2, 1.0, True, seed=9, trials=50)

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from scipy.special import gammainc, gammaincc
 
@@ -31,8 +33,9 @@ def curve() -> SweepCurve:
 class TestSmallBudgetCurve:
 
     def test_covers_every_sector_count(self, curve):
-        assert len(curve.entries) == 67
-        assert [e.m for e in curve.entries] == list(range(1, 68))
+        for field in FIELDS:
+            assert getattr(curve.analysis, field).shape == (67,)
+        assert curve.analysis.m.tolist() == list(range(1, 68))
 
     def test_interior_optimum(self, curve):
         assert curve.m_star == FIG3_M_STAR
@@ -40,34 +43,38 @@ class TestSmallBudgetCurve:
         assert curve.xi_star == pytest.approx(FIG3_XI_STAR, abs=1e-9)
 
     def test_two_phase_shape(self, curve):
-        xs = [e.xi for e in curve.entries]
+        xs = curve.analysis.xi.tolist()
         k = curve.m_star - 1
         assert all(b < a for a, b in zip(xs[: k + 1], xs[1 : k + 1]))
         assert all(b > a for a, b in zip(xs[k:], xs[k + 1 :]))
 
     def test_minimum_is_consistent(self, curve):
-        assert curve.xi_star == min(e.xi for e in curve.entries)
-        best = curve.entries[curve.m_star - 1]
-        assert best.xi == curve.xi_star
+        assert curve.xi_star == curve.analysis.xi.min()
+        best = curve.m_star - 1
+        assert curve.analysis.xi[best] == curve.xi_star
         # Re-evaluating the closed form at the optimum reproduces it exactly.
-        assert total_error(best.l_sector, best.phi_w) == curve.xi_star
+        l_s, phi = curve.analysis.l_sector[best], curve.analysis.phi_w[best]
+        assert total_error(float(l_s), float(phi)) == curve.xi_star
 
     def test_entries_internally_consistent(self, curve):
         cfg = fig3_config()
-        for entry in curve.entries:
-            assert entry.xi == entry.alpha + entry.beta
-            assert entry.l_sector == cfg.l_total / entry.m
-            assert entry.pinsker_lb <= entry.xi + 1e-12
+        a = curve.analysis
+        assert np.array_equal(a.xi, a.alpha + a.beta)
+        assert a.l_sector.tolist() == [cfg.l_total / m for m in a.m.tolist()]
+        assert np.all(a.pinsker_lb <= a.xi + 1e-12)
 
     def test_entries_are_analyze_scenario_records(self, curve):
+        # Element m - 1 of every column is analyze_scenario at m alone.
         cfg = fig3_config()
-        assert all(entry == analyze_scenario(cfg, entry.m) for entry in curve.entries)
+        for m in range(1, 68):
+            point = analyze_scenario(cfg, m)
+            assert [getattr(point, f) for f in FIELDS] == column_row(curve.analysis, m - 1)
 
 
 class TestLargeBudgetCurve:
     def test_single_sector_optimum(self):
         curve = sweep_sectors(fig2_config())
-        xs = [e.xi for e in curve.entries]
+        xs = curve.analysis.xi.tolist()
         assert curve.m_star == 1
         assert all(b >= a for a, b in zip(xs, xs[1:]))
 
@@ -83,7 +90,7 @@ class TestEdgeCases:
             d_aw=100.0,
         )
         curve = sweep_sectors(cfg)
-        assert len(curve.entries) == 1
+        assert curve.analysis.m.tolist() == [1]
         assert curve.m_star == 1
 
     def test_empty_search_space_rejected(self):
@@ -111,9 +118,17 @@ class TestEdgeCases:
             carrier_hz=3.0e8 / (4.0 * math.pi),
         )
         curve = sweep_sectors(cfg)
-        assert all(e.xi == 1.0 for e in curve.entries)
+        assert curve.analysis.xi.tolist() == [1.0] * 4
         assert curve.m_star == 1
         assert curve.xi_star == 1.0
+
+
+FIELDS = [field.name for field in dataclasses.fields(DetectionAnalysis)]
+
+
+def column_row(analysis: DetectionAnalysis, index: int) -> list:
+    """Element ``index`` of each column, as Python numbers."""
+    return [getattr(analysis, field)[index].item() for field in FIELDS]
 
 
 def point_by_point(cfg: ScenarioConfig, m: int) -> DetectionAnalysis:
@@ -163,26 +178,60 @@ class TestArrayCurve:
 
     def test_equals_point_by_point_reference(self, scenario_curve):
         _, cfg, curve = scenario_curve
-        assert len(curve.entries) == cfg.m_max
-        assert curve.entries == tuple(point_by_point(cfg, m) for m in range(1, cfg.m_max + 1))
+        points = [point_by_point(cfg, m) for m in range(1, cfg.m_max + 1)]
+        for field in FIELDS:
+            column = getattr(curve.analysis, field)
+            assert column.shape == (cfg.m_max,)
+            assert column.tolist() == [getattr(point, field) for point in points], field
 
     def test_equals_scalar_closed_forms(self, scenario_curve):
         _, cfg, curve = scenario_curve
         rho = path_loss(cfg)
-        for entry in curve.entries:
-            l_s, phi = entry.l_sector, entry.phi_w
-            assert type(entry.m) is int and type(l_s) is float and type(phi) is float
-            assert entry.alpha == false_alarm(l_s, phi)
-            assert entry.beta == miss_detection(l_s, phi)
-            assert entry.kl_exact == kl_divergence_exact(l_s, phi)
-            assert entry.kl_approx == kl_divergence_approx(cfg, entry.m, rho)
-            assert entry.pinsker_lb == pinsker_lower_bound(entry.kl_exact)
+        a = curve.analysis
+        assert a.m.dtype.kind == "i" and a.l_sector.dtype == a.phi_w.dtype == np.float64
+        for m, l_s, phi, alpha, beta, kl, kl_approx, lb in zip(
+            *(getattr(a, f).tolist() for f in FIELDS if f != "xi")
+        ):
+            assert alpha == false_alarm(l_s, phi)
+            assert beta == miss_detection(l_s, phi)
+            assert kl == kl_divergence_exact(l_s, phi)
+            assert kl_approx == kl_divergence_approx(cfg, m, rho)
+            assert lb == pinsker_lower_bound(kl)
 
     def test_minimum_is_first_minimum(self, scenario_curve):
         name, _, curve = scenario_curve
-        xs = [entry.xi for entry in curve.entries]
+        xs = curve.analysis.xi.tolist()
         assert curve.m_star == xs.index(min(xs)) + 1
         assert curve.xi_star == min(xs)
         if name == "blind":
             assert all(x == 1.0 for x in xs)
             assert curve.m_star == 1
+
+
+class TestOneResultType:
+    """analyze_scenario gives Python numbers for one m and arrays for many."""
+
+    def test_point_is_python_numbers(self):
+        cfg = fig3_config()
+        point = analyze_scenario(cfg, 8)
+        assert type(point.m) is int
+        assert all(type(getattr(point, f)) is float for f in FIELDS if f != "m")
+        assert type(point.pinsker_vacuous) is bool
+        assert point == point_by_point(cfg, 8)
+
+    @pytest.mark.parametrize("ms", [np.arange(1, 68), list(range(1, 68)), np.array([8])])
+    def test_curve_is_arrays(self, ms):
+        cfg = fig3_config()
+        analysis = analyze_scenario(cfg, ms)
+        for field in FIELDS:
+            assert isinstance(getattr(analysis, field), np.ndarray)
+            assert getattr(analysis, field).shape == np.shape(ms)
+        assert analysis.pinsker_vacuous.dtype == bool
+        for index, m in enumerate(np.asarray(ms).tolist()):
+            point = point_by_point(cfg, m)
+            assert column_row(analysis, index) == [getattr(point, f) for f in FIELDS]
+
+    def test_curve_has_no_record_view(self, curve):
+        fields = {field.name for field in dataclasses.fields(SweepCurve)}
+        assert fields == {"analysis", "m_star", "xi_star"}
+        assert type(curve.m_star) is int and type(curve.xi_star) is float
