@@ -28,6 +28,7 @@ from .core import (
     FloatOrArray,
     ScenarioConfig,
     elementwise_log1p,
+    fields_equal,
     h0_threshold_factor,
     h1_threshold_factor,
     make_link_budget,
@@ -60,6 +61,8 @@ class DetectionAnalysis:
     kl_exact: FloatOrArray
     kl_approx: FloatOrArray
     pinsker_lb: FloatOrArray
+
+    __eq__ = fields_equal
 
     @property
     def pinsker_vacuous(self) -> bool | np.ndarray:

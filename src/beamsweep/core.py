@@ -14,7 +14,7 @@ keeps as its columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,6 +41,20 @@ def require(ok, message: str, *values, error: type[Exception] = ValueError) -> N
 def scalar_or_array(value: np.ndarray) -> FloatOrArray:
     """A 0-d result as a Python number, any other as the array."""
     return value.item() if value.ndim == 0 else value
+
+
+def fields_equal(self, other) -> bool:
+    """``__eq__`` for records whose fields may be numpy arrays.
+
+    Compares field by field like the generated dataclass ``__eq__`` (where a
+    field holding the same object, even nan, is equal), but an array field
+    compares by ``np.array_equal``, so equal curves compare True instead of
+    raising on an ambiguous truth value.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(a is b or np.array_equal(a, b) for a, b in pairs)
 
 
 def elementwise_log1p(x: np.ndarray) -> np.ndarray:
@@ -129,6 +143,8 @@ class SweepPlan:
     m_sectors: int | np.ndarray
     l_sector: FloatOrArray
     array_gain: FloatOrArray
+
+    __eq__ = fields_equal
 
 
 @dataclass(frozen=True)

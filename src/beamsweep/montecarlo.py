@@ -4,13 +4,18 @@ Simulates the energy test directly in the one-dimensional beamspace
 projection: the decision statistic depends on the channel only through its
 norm, so each trial needs l_sector complex Gaussian samples rather than an
 antenna-sized vector, and is exact in distribution. Half the squared modulus
-of a unit complex Gaussian is Exp(1), so each sample's normalized energy is
-drawn directly as -log1p(-U) from one uniform U.
+of a unit complex Gaussian is Exp(1), so the normalized statistic, a sum of
+l_sector unit exponentials, is exactly Gamma(l_sector) under the noise-only
+hypothesis and (1 + phi_w) times that with the signal present. Each trial is
+therefore one ``standard_gamma`` draw (Marsaglia & Tsang, ACM TOMS 26 (2000)
+363), whose cost does not grow with l_sector.
 
-Determinism contract: every trial owns a fixed window of a counter-based
-(Philox) stream keyed by (seed, hypothesis), and each sample consumes exactly
-one uniform, so the word consumption per trial is constant. Results are
-therefore bit-identical for any chunking.
+Determinism contract: each (seed, hypothesis) keys one counter-based (Philox)
+stream, and trial i is draw i of that stream. numpy fills arrays from a
+stream sequentially, so results are bit-identical for any chunking and a
+trial does not depend on the trial count. The bytes are stable for a fixed
+numpy version; numpy may change its Generator streams between versions
+(NEP 19).
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -26,8 +30,8 @@ from numpy.random import Generator, Philox
 from .core import h0_threshold_factor
 
 _CI_Z = 1.96  # 95% Wilson score interval
-# Uniforms drawn per chunk: bounds peak memory for any l_s.
-_CHUNK_ELEMENTS = 1 << 18
+# Trials per chunk: 512 KB of statistics, for any l_s.
+_CHUNK_TRIALS = 1 << 16
 # Fixed odd increment for the single reseeded retry, so retries reproduce too.
 RETRY_SEED_STEP = 0x9E3779B97F4A7C15
 
@@ -66,61 +70,30 @@ def retry_seed(seed: int) -> int:
     return (seed + RETRY_SEED_STEP) % 2 ** 64
 
 
-def _blocks_per_trial(l_s: int) -> int:
-    # l_s uniforms per trial, rounded up to whole 4-word Philox blocks.
-    return (l_s + 3) // 4
-
-
-def _statistics(uniforms: np.ndarray, phi_w: float, under_h1: bool) -> np.ndarray:
-    """Normalized energy statistics from one (trials, l_s) block of uniforms.
-
-    Each sample's energy -log1p(-U) is computed in place, so ``uniforms`` is
-    overwritten. Under the noise-only hypothesis each statistic is a sum of
-    l_s unit exponentials (mean l_s); with the signal present the per-sample
-    variance grows to 1 + phi_w, which scales the sum.
-    """
-    np.log1p(np.negative(uniforms, out=uniforms), out=uniforms)
-    stats = -uniforms.sum(axis=1)
-    if under_h1:
-        # Near the float limit of phi_w a statistic overflows to inf, which
-        # still compares above any finite threshold.
-        with np.errstate(over="ignore"):
-            stats *= 1.0 + phi_w
-    return stats
-
-
 def _simulate_batch(
     l_s: int,
     phi_w: float,
     under_h1: bool,
     seed: int,
     trials: int,
-    chunk: int | None = None,
+    chunk: int = _CHUNK_TRIALS,
 ) -> Iterator[np.ndarray]:
-    """Statistics for trials [0, trials), yielded one chunk at a time.
+    """Statistics for trials [0, trials), yielded ``chunk`` trials at a time.
 
-    ``chunk`` is the number of trials per chunk; by default a chunk holds
-    about _CHUNK_ELEMENTS uniforms. A trial wider than that is a chunk of its
-    own, drawn in pieces of _CHUNK_ELEMENTS uniforms, each from its own
-    window of the trial's stream, and its statistic is the sum over the
-    pieces. The concatenated statistics do not depend on the chunk size, and
-    only one chunk or piece is held at a time.
+    Trial i is draw i of the (seed, hypothesis) stream, so the concatenated
+    statistics do not depend on the chunk size. Each chunk is a fresh array,
+    and only one is held at a time.
     """
-    blocks = _blocks_per_trial(l_s)
-    piece = min(4 * blocks, _CHUNK_ELEMENTS)
-    if chunk is None or piece < 4 * blocks:
-        chunk = _CHUNK_ELEMENTS // piece
     key = np.array([seed, 1 if under_h1 else 0], dtype=np.uint64)
-    buffer = np.empty((min(chunk, trials), piece))
+    rng = Generator(Philox(key=key))
     for start in range(0, trials, chunk):
-        n = min(chunk, trials - start)
-        pieces = []
-        for offset in range(0, l_s, piece):
-            bits = Philox(key=key)
-            bits.advance(start * blocks + offset // 4)
-            uniforms = Generator(bits).random(out=buffer[:n])[:, : min(piece, l_s - offset)]
-            pieces.append(_statistics(uniforms, phi_w, under_h1))
-        yield reduce(np.add, pieces)
+        stats = rng.standard_gamma(float(l_s), size=min(chunk, trials - start))
+        if under_h1:
+            # Near the float limit of phi_w a statistic overflows to inf, which
+            # still compares above any finite threshold.
+            with np.errstate(over="ignore"):
+                stats *= 1.0 + phi_w
+        yield stats
 
 
 def _wilson_halfwidth(p_hat: float, n: int) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import DetectionAnalysis, analyze_scenario
-from .core import ScenarioConfig
+from .core import ScenarioConfig, fields_equal
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,8 @@ class SweepCurve:
     m_star: int
     xi_star: float
 
+    __eq__ = fields_equal
+
 
 def sweep_sectors(cfg: ScenarioConfig) -> SweepCurve:
     """Evaluate the detection error at every m in [1, m_max] and locate the minimum."""
@@ -37,6 +39,11 @@ def sweep_sectors(cfg: ScenarioConfig) -> SweepCurve:
     if m_max < 1:
         raise ValueError(
             f"no feasible sector count: floor(n_antennas * theta_t / 2) = {m_max}"
+        )
+    if m_max > np.iinfo(np.intp).max:
+        raise ValueError(
+            f"too many sector counts to sweep: floor(n_antennas * theta_t / 2) = {m_max} "
+            f"exceeds {np.iinfo(np.intp).max}"
         )
     analysis = analyze_scenario(cfg, np.arange(1, m_max + 1))
     # argmin returns the first of equal values, i.e. the smallest m.

@@ -343,6 +343,23 @@ class TestValidateCommand:
         assert cells[6] == cells[9] == "0"  # alpha_hat, beta_hat
         assert cells[-1] == "true"
 
+    def test_long_dwell_cell_draws_one_variate_per_trial(self, tmp_path):
+        # A million samples per trial: 2e9 per hypothesis if drawn one by one.
+        l_s, phi_w = 10**6, 0.003
+        alpha = analysis.false_alarm(float(l_s), phi_w)
+        beta = analysis.miss_detection(float(l_s), phi_w)
+        assert 1e-3 < alpha < 0.5 and 1e-3 < beta < 0.5  # events occur in 2,000 trials
+        out = tmp_path / "val.csv"
+        code = main(
+            ["validate", "--set", f"l_s={l_s}", "--set", f"phi_w={phi_w}", "--trials", "2000",
+             "--out", str(out)]
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2
+        cells = lines[1].split(",")
+        assert (int(cells[0]), float(cells[1]), int(cells[2])) == (l_s, phi_w, 2000)
+
     def test_mixing_config_and_explicit_cells_fails(self, tmp_path, capsys):
         code = main(
             [
@@ -589,6 +606,19 @@ class TestExitCodes:
             "error: path loss overflows a float at d_aw=1e-300, path_exp=2.0, "
             "carrier_hz=2400000000.0\n"
         )
+
+    @pytest.mark.parametrize("command", ["sweep-m", "optimize"])
+    def test_sector_range_beyond_index_range_maps_to_one(self, tmp_path, capsys, command):
+        # m_max = 1e300 sector counts cannot be indexed, let alone allocated.
+        out = str(tmp_path / "x.csv")
+        argv = [command, "--config", FIG3_CFG, "--set", f"n_antennas={10**300}",
+                "--set", "theta_t=2", "--out", out]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: too many sector counts to sweep: floor(n_antennas * theta_t / 2) = "
+            f"{int(1e300)} exceeds {np.iinfo(np.intp).max}\n"
+        )
+        assert not os.path.exists(out)
 
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -15,7 +15,7 @@ from beamsweep.analysis import (
     pinsker_lower_bound,
     total_error,
 )
-from beamsweep.core import ScenarioConfig, path_loss
+from beamsweep.core import ScenarioConfig, make_sweep_plan, path_loss
 from beamsweep.optimizer import SweepCurve, sweep_sectors
 from beamsweep.presets import PRESET_VALUES, build_scenario, fig2_config, fig3_config
 
@@ -235,3 +235,37 @@ class TestOneResultType:
         fields = {field.name for field in dataclasses.fields(SweepCurve)}
         assert fields == {"analysis", "m_star", "xi_star"}
         assert type(curve.m_star) is int and type(curve.xi_star) is float
+
+
+class TestRecordEquality:
+    """Records with array fields compare element by element instead of raising."""
+
+    def test_equal_curves_compare_true(self, curve):
+        again = sweep_sectors(fig3_config())
+        assert curve == again
+        assert not curve != again
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_curves_differing_in_one_element_compare_false(self, curve, field):
+        column = getattr(curve.analysis, field).copy()
+        column[40] += 1
+        changed = dataclasses.replace(curve.analysis, **{field: column})
+        assert changed != curve.analysis
+        assert dataclasses.replace(curve, analysis=changed) != curve
+
+    def test_sweep_plans(self):
+        cfg = fig3_config()
+        plan = make_sweep_plan(cfg, np.arange(1, 5))
+        assert plan == make_sweep_plan(cfg, np.arange(1, 5))
+        assert plan != make_sweep_plan(cfg, np.arange(1, 6))
+        assert plan != make_sweep_plan(cfg, np.arange(2, 6))
+
+    def test_scalar_records_compare_as_before(self):
+        cfg = fig3_config()
+        point = analyze_scenario(cfg, 8)
+        assert point == analyze_scenario(cfg, 8)
+        assert hash(point) == hash(analyze_scenario(cfg, 8))
+        assert point != analyze_scenario(cfg, 9)
+        assert point != dataclasses.astuple(point)
+        assert make_sweep_plan(cfg, 8) == make_sweep_plan(cfg, 8)
+        assert make_sweep_plan(cfg, 8) != make_sweep_plan(cfg, 9)
