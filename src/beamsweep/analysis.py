@@ -12,7 +12,11 @@ Every closed form takes floats or numpy arrays: a float input returns a
 Python float, an array input an array, and an invalid element raises the
 error a call on that element alone would raise. ``analyze_scenario``
 evaluates one sector count, or a whole error curve as one array pass over
-its sector counts; either way the result is one ``DetectionAnalysis``.
+its sector counts; either way the result is one ``DetectionAnalysis``. It
+checks its inputs once, at the entry, computes ln(1+phi_w) and the two test
+thresholds once, and hands them to the private kernels that the public
+closed forms also run after their own checks, so a field of the analysis
+equals the public closed form at that point bit for bit.
 """
 
 from __future__ import annotations
@@ -27,10 +31,12 @@ from scipy.special import gammainc, gammaincc
 from .core import (
     FloatOrArray,
     ScenarioConfig,
+    _threshold_factors,
+    as_floats,
     elementwise_log1p,
     fields_equal,
-    h0_threshold_factor,
-    h1_threshold_factor,
+    finite_nonnegative,
+    finite_positive,
     make_link_budget,
     make_sweep_plan,
     require,
@@ -80,21 +86,67 @@ def reg_lower_gamma(a: FloatOrArray, x: FloatOrArray) -> FloatOrArray:
         ValueError: if a <= 0, x < 0, or either input is not finite.
         ConvergenceError: if the evaluation is not finite.
     """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    require(np.isfinite(a) & (a > 0.0), "reg_lower_gamma requires finite a > 0, got a={}", a)
-    require(np.isfinite(x) & (x >= 0.0), "reg_lower_gamma requires finite x >= 0, got x={}", x)
-    p = np.asarray(gammainc(a, x), dtype=float)
+    a = as_floats(a)
+    x = as_floats(x)
+    require(finite_positive(a), "reg_lower_gamma requires finite a > 0, got a={}", a)
+    require(finite_nonnegative(x), "reg_lower_gamma requires finite x >= 0, got x={}", x)
+    return scalar_or_array(_lower_gamma(a, x))
+
+
+def _lower_gamma(a: FloatOrArray, x: FloatOrArray) -> FloatOrArray:
+    """P(a, x) at checked inputs; a non-finite result raises ConvergenceError."""
+    p = as_floats(gammainc(a, x))
     require(np.isfinite(p), "gammainc returned {} at a={}, x={}", p, a, x, error=ConvergenceError)
-    return scalar_or_array(p)
+    return p
 
 
-def _point(l_s: FloatOrArray, phi_w: FloatOrArray) -> tuple[np.ndarray, np.ndarray]:
-    l_s = np.asarray(l_s, dtype=float)
-    phi_w = np.asarray(phi_w, dtype=float)
-    require(np.isfinite(l_s) & (l_s > 0.0), "l_s must be finite and > 0, got {}", l_s)
-    require(np.isfinite(phi_w) & (phi_w > 0.0), "phi_w must be finite and > 0, got {}", phi_w)
+def _point(l_s: FloatOrArray, phi_w: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
+    """``l_s`` and ``phi_w`` as floats, checked finite and > 0."""
+    l_s = as_floats(l_s)
+    phi_w = as_floats(phi_w)
+    require(finite_positive(l_s), "l_s must be finite and > 0, got {}", l_s)
+    require(finite_positive(phi_w), "phi_w must be finite and > 0, got {}", phi_w)
     return l_s, phi_w
+
+
+def _thresholds(
+    l_s: FloatOrArray, phi_w: FloatOrArray
+) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
+    """ln(1+phi_w) and the H0 and H1 test thresholds of a checked point."""
+    log_term = elementwise_log1p(phi_w)
+    h0, h1 = _threshold_factors(log_term, phi_w)
+    return log_term, l_s * h0, l_s * h1
+
+
+def _false_alarm(
+    l_s: FloatOrArray, phi_w: FloatOrArray, x0: FloatOrArray, x1: FloatOrArray
+) -> FloatOrArray:
+    """Q(l_s, x0) at a checked point with H0 threshold x0 and H1 threshold x1."""
+    # SNR below double resolution: both tests share one threshold and one
+    # law, so alpha = 1 - beta exactly and xi = 1 marks the blind detector.
+    blind = x0 == x1
+    alpha = as_floats(gammaincc(l_s, x0))
+    if np.count_nonzero(blind):
+        # Checked first: blind points have the smallest SNR, so along a curve
+        # they come before any point gammaincc could fail at.
+        alpha = np.array(alpha)
+        alpha[blind] = 1.0 - reg_lower_gamma(np.broadcast_to(l_s, x0.shape)[blind], x0[blind])
+        alpha = alpha[()]
+    require(
+        blind | np.isfinite(alpha),
+        "gammaincc returned {} at l_s={}, phi_w={}",
+        alpha,
+        l_s,
+        phi_w,
+        error=ConvergenceError,
+    )
+    return alpha
+
+
+def _kl_exact(
+    l_s: FloatOrArray, phi_w: FloatOrArray, log_term: FloatOrArray
+) -> FloatOrArray:
+    return l_s * (log_term - phi_w / (1.0 + phi_w))
 
 
 def false_alarm(l_s: FloatOrArray, phi_w: FloatOrArray) -> FloatOrArray:
@@ -105,24 +157,8 @@ def false_alarm(l_s: FloatOrArray, phi_w: FloatOrArray) -> FloatOrArray:
     accuracy instead of cancelling in 1 - P.
     """
     l_s, phi_w = _point(l_s, phi_w)
-    x = np.asarray(l_s * h0_threshold_factor(phi_w))
-    # SNR below double resolution: both tests share one threshold and one
-    # law, so alpha = 1 - beta exactly and xi = 1 marks the blind detector.
-    blind = x == l_s * h1_threshold_factor(phi_w)
-    alpha = np.array(gammaincc(l_s, x), dtype=float)
-    if blind.any():
-        # Checked first: blind points have the smallest SNR, so along a curve
-        # they come before any point gammaincc could fail at.
-        alpha[blind] = 1.0 - reg_lower_gamma(np.broadcast_to(l_s, x.shape)[blind], x[blind])
-    require(
-        blind | np.isfinite(alpha),
-        "gammaincc returned {} at l_s={}, phi_w={}",
-        alpha,
-        l_s,
-        phi_w,
-        error=ConvergenceError,
-    )
-    return scalar_or_array(alpha)
+    _, x0, x1 = _thresholds(l_s, phi_w)
+    return scalar_or_array(_false_alarm(l_s, phi_w, x0, x1))
 
 
 def miss_detection(l_s: FloatOrArray, phi_w: FloatOrArray) -> FloatOrArray:
@@ -132,7 +168,8 @@ def miss_detection(l_s: FloatOrArray, phi_w: FloatOrArray) -> FloatOrArray:
     their relative accuracy.
     """
     l_s, phi_w = _point(l_s, phi_w)
-    return reg_lower_gamma(l_s, l_s * h1_threshold_factor(phi_w))
+    _, _, x1 = _thresholds(l_s, phi_w)
+    return scalar_or_array(_lower_gamma(l_s, x1))
 
 
 def total_error(l_s: FloatOrArray, phi_w: FloatOrArray) -> FloatOrArray:
@@ -150,11 +187,11 @@ def kl_divergence_exact(l_s: FloatOrArray, phi_w: FloatOrArray) -> FloatOrArray:
     Per observed sample the divergence is ln(1+phi) - phi/(1+phi); the l_s
     samples in a sector are independent, so the total is linear in l_s.
     """
-    l_s = np.asarray(l_s, dtype=float)
-    phi_w = np.asarray(phi_w, dtype=float)
-    require(np.isfinite(l_s) & (l_s > 0.0), "l_s must be finite and > 0, got {}", l_s)
-    require(np.isfinite(phi_w) & (phi_w >= 0.0), "phi_w must be finite and >= 0, got {}", phi_w)
-    return scalar_or_array(l_s * (elementwise_log1p(phi_w) - phi_w / (1.0 + phi_w)))
+    l_s = as_floats(l_s)
+    phi_w = as_floats(phi_w)
+    require(finite_positive(l_s), "l_s must be finite and > 0, got {}", l_s)
+    require(finite_nonnegative(phi_w), "phi_w must be finite and >= 0, got {}", phi_w)
+    return scalar_or_array(_kl_exact(l_s, phi_w, elementwise_log1p(phi_w)))
 
 
 def kl_divergence_approx(
@@ -171,9 +208,14 @@ def kl_divergence_approx(
     require(m >= 1, "sector count m must be >= 1, got {}", m)
     if not (math.isfinite(rho_aw) and rho_aw > 0.0):
         raise ValueError(f"rho_aw must be finite and > 0, got {rho_aw}")
+    return scalar_or_array(_kl_approx(cfg, as_floats(m), rho_aw))
+
+
+def _kl_approx(cfg: ScenarioConfig, m: FloatOrArray, rho_aw: float) -> FloatOrArray:
+    """The small-SNR divergence at checked sector counts ``m``, as floats."""
     signal = cfg.pa_watt * rho_aw
     noise_width = cfg.noise_watt * cfg.theta_t
-    return scalar_or_array(
+    return (
         4.0 * cfg.l_total * signal * signal * m
         / (noise_width * noise_width + 2.0 * signal * noise_width * m)
     )
@@ -185,8 +227,8 @@ def pinsker_lower_bound(kl: FloatOrArray) -> FloatOrArray:
     May be negative, in which case the bound is vacuous; it is reported
     as-is and flagged by DetectionAnalysis.pinsker_vacuous.
     """
-    kl = np.asarray(kl, dtype=float)
-    require(np.isfinite(kl) & (kl >= 0.0), "kl must be finite and >= 0, got {}", kl)
+    kl = as_floats(kl)
+    require(finite_nonnegative(kl), "kl must be finite and >= 0, got {}", kl)
     return scalar_or_array(1.0 - np.sqrt(kl / 2.0))
 
 
@@ -196,9 +238,11 @@ def analyze_scenario(
     """The closed-form analysis of a scenario at sector count ``m``.
 
     A single ``m`` gives Python numbers; a sequence or array of them gives
-    one array per field, evaluated in one pass. Each check names the first
-    sector count that fails it, and the checks run in the order one point
-    runs them; along a curve, where phi_w grows with m, that is the error a
+    one array per field, evaluated in one pass. The inputs are checked once,
+    here, and ln(1+phi_w) and the two thresholds are computed once and shared
+    by every field. Each check names the first sector count that fails it,
+    and the checks run in the order the public closed forms would run them;
+    along a curve, where phi_w grows with m, that is the error a
     point-by-point evaluation would raise first.
     """
     # Overflow gives inf and nan as Python floats would, without warnings;
@@ -206,10 +250,14 @@ def analyze_scenario(
     with np.errstate(all="ignore"):
         plan = make_sweep_plan(cfg, m)
         budget = make_link_budget(cfg, plan)
-        alpha = false_alarm(plan.l_sector, budget.phi_w)
-        beta = miss_detection(plan.l_sector, budget.phi_w)
-        kl = kl_divergence_exact(plan.l_sector, budget.phi_w)
+        l_s, phi_w = _point(plan.l_sector, budget.phi_w)
+        log_term, x0, x1 = _thresholds(l_s, phi_w)
+        alpha = _false_alarm(l_s, phi_w, x0, x1)
+        beta = _lower_gamma(l_s, x1)
+        kl = _kl_exact(l_s, phi_w, log_term)
+        kl_approx = _kl_approx(cfg, as_floats(plan.m_sectors), budget.rho_aw)
         return DetectionAnalysis(
-            plan.m_sectors, plan.l_sector, budget.phi_w, alpha, beta, alpha + beta, kl,
-            kl_divergence_approx(cfg, plan.m_sectors, budget.rho_aw), pinsker_lower_bound(kl),
+            plan.m_sectors, plan.l_sector, budget.phi_w,
+            *map(scalar_or_array, (alpha, beta, alpha + beta, kl, kl_approx)),
+            pinsker_lower_bound(kl),
         )

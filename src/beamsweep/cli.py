@@ -8,7 +8,10 @@ Subcommands:
     repro      the shipped fig2/fig3 parameter studies, one CSV per curve
 
 This module holds the argparse parser and one handler per subcommand; each
-subparser names its handler. The config-file format (reading, canonical
+subparser names its handler. The parser is built once per process, on the
+first ``main`` call, and every later call reuses it; parsing leaves it
+unchanged, so ``main`` may be called repeatedly in one process and each call
+behaves as in a fresh one. The config-file format (reading, canonical
 dump, value formatting) lives in ``presets``. Each CSV column of a curve or
 an ``analyze`` row is the ``DetectionAnalysis`` field of the same name, read
 as one column of the curve's (or the point's) analysis, and one printf
@@ -20,9 +23,9 @@ convergence failure, 3 Monte Carlo validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-import tempfile
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -104,18 +107,16 @@ def _parse_list(key: str, text: str, as_int: bool) -> list[float] | list[int]:
 
 
 def _write_atomic(path: str, text: str) -> None:
-    # A unique temp file in the target directory, so concurrent runs writing
-    # the same output never share one and the final rename stays atomic.
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(path) or ".", prefix=f"{os.path.basename(path)}.", suffix=".tmp"
-    )
+    # A temp file under a unique name in the target directory, so concurrent
+    # runs writing the same output never share one and the final rename stays
+    # atomic. os.open applies the process umask to 0o666, which gives the
+    # file the permissions open() would, without reading the umask.
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f"{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-        # mkstemp creates the file private; give it the permissions open() would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -308,7 +309,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing leaves the parser unchanged: the ``append`` action of ``--set``
+    copies its default list before appending to it, nothing else writes to
+    that list, and the handlers the parser names look up module globals when
+    they are called.
+    """
     parser = _Parser(prog="beamsweep", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -31,11 +31,38 @@ def require(ok, message: str, *values, error: type[Exception] = ValueError) -> N
     that element, so an array call fails with the message a call on that
     element alone would give.
     """
+    if ok is True or ok is np.True_:  # one element that passes: no array needed
+        return
     ok = np.asarray(ok, dtype=bool)
-    if not ok.all():
+    # count_nonzero is a fraction of the cost of ok.all() on the few elements
+    # of a preset curve.
+    if np.count_nonzero(ok) != ok.size:
         shape = np.broadcast_shapes(ok.shape, *map(np.shape, values))
         first = int(np.argmin(np.broadcast_to(ok, shape)))
         raise error(message.format(*(np.broadcast_to(v, shape).item(first) for v in values)))
+
+
+def finite_positive(x: FloatOrArray):
+    """Elementwise 0 < x < inf; nan fails both comparisons.
+
+    Two comparisons cost the same as ``np.isfinite(x) & (x > 0)`` on an
+    array, and far less on a number.
+    """
+    return (0.0 < x) & (x < math.inf)
+
+
+def finite_nonnegative(x: FloatOrArray):
+    """Elementwise 0 <= x < inf; nan fails both comparisons."""
+    return (0.0 <= x) & (x < math.inf)
+
+
+def as_floats(x) -> FloatOrArray:
+    """``x`` as float64: a numpy scalar for a 0-d input, an array for any other.
+
+    Arithmetic on a numpy scalar costs a fraction of the same on a 0-d array,
+    and that overhead is most of the cost of evaluating one point.
+    """
+    return np.asarray(x, dtype=float)[()]
 
 
 def scalar_or_array(value: np.ndarray) -> FloatOrArray:
@@ -57,15 +84,15 @@ def fields_equal(self, other) -> bool:
     return all(a is b or np.array_equal(a, b) for a, b in pairs)
 
 
-def elementwise_log1p(x: np.ndarray) -> np.ndarray:
-    """ln(1+x) by ``math.log1p`` on each element of an array.
+def elementwise_log1p(x: FloatOrArray) -> FloatOrArray:
+    """ln(1+x) by ``math.log1p`` on each element, shaped like ``as_floats``.
 
     np.log1p differs from math.log1p in the last bit on some inputs; keeping
     math.log1p keeps every closed-form value, and so every CSV byte, as it
     was before the closed forms took arrays.
     """
     flat = x.ravel().tolist()
-    return np.fromiter(map(math.log1p, flat), float, count=len(flat)).reshape(x.shape)
+    return np.fromiter(map(math.log1p, flat), float, count=len(flat)).reshape(x.shape)[()]
 
 
 def dbm_to_watt(p_dbm: float) -> float:
@@ -189,7 +216,7 @@ def make_sweep_plan(cfg: ScenarioConfig, m: int | np.ndarray) -> SweepPlan:
     return SweepPlan(
         m_sectors=scalar_or_array(m),
         l_sector=scalar_or_array(l_sector.reshape(m.shape)),
-        array_gain=scalar_or_array(2.0 * m / cfg.theta_t),
+        array_gain=scalar_or_array(2.0 * as_floats(m) / cfg.theta_t),
     )
 
 
@@ -200,17 +227,30 @@ def make_link_budget(cfg: ScenarioConfig, plan: SweepPlan) -> LinkBudget:
     """
     rho = path_loss(cfg)
     phi_w = cfg.pa_watt * rho * plan.array_gain / cfg.noise_watt
-    require(np.isfinite(phi_w) & (phi_w >= 0.0), "phi_w must be finite and >= 0, got {}", phi_w)
+    require(finite_nonnegative(phi_w), "phi_w must be finite and >= 0, got {}", phi_w)
     return LinkBudget(rho_aw=rho, phi_w=phi_w)
 
 
-def _threshold_terms(phi_w: FloatOrArray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ln(1+phi) and phi for a checked ``phi_w``, with phi = 0 read as 1, and where it was 0."""
-    phi = np.asarray(phi_w, dtype=float)
-    require(np.isfinite(phi) & (phi >= 0.0), "phi_w must be finite and >= 0, got {}", phi)
+def _threshold_factors(
+    log_term: FloatOrArray, phi: FloatOrArray
+) -> tuple[FloatOrArray, FloatOrArray]:
+    """The H0 and H1 threshold factors from ``log_term`` = ln(1+phi) at phi > 0.
+
+    The H1 factor is ln(1+phi)/phi and the H0 factor ln(1+phi) + ln(1+phi)/phi,
+    so one division serves both.
+    """
+    h1 = log_term / phi
+    return log_term + h1, h1
+
+
+def _checked_threshold_factors(phi_w: FloatOrArray) -> tuple[np.ndarray, np.ndarray]:
+    """Both threshold factors of a checked ``phi_w``; phi = 0 gives 1 for both."""
+    phi = as_floats(phi_w)
+    require(finite_nonnegative(phi), "phi_w must be finite and >= 0, got {}", phi)
     zero = phi == 0.0
     phi = np.where(zero, 1.0, phi)
-    return elementwise_log1p(phi), phi, zero
+    h0, h1 = _threshold_factors(elementwise_log1p(phi), phi)
+    return np.where(zero, 1.0, h0), np.where(zero, 1.0, h1)
 
 
 def h0_threshold_factor(phi_w: FloatOrArray) -> FloatOrArray:
@@ -219,8 +259,7 @@ def h0_threshold_factor(phi_w: FloatOrArray) -> FloatOrArray:
     Equals ln(1+phi)(1+1/phi); tends to 1 as phi -> 0 (a blind test sits at
     the mean) and grows like ln(phi) for large phi.
     """
-    log_term, phi, zero = _threshold_terms(phi_w)
-    return scalar_or_array(np.where(zero, 1.0, log_term + log_term / phi))
+    return scalar_or_array(_checked_threshold_factors(phi_w)[0])
 
 
 def h1_threshold_factor(phi_w: FloatOrArray) -> FloatOrArray:
@@ -229,5 +268,4 @@ def h1_threshold_factor(phi_w: FloatOrArray) -> FloatOrArray:
     Equals ln(1+phi)/phi, the previous factor divided by (1+phi); tends to 1
     as phi -> 0 and to 0 as phi -> infinity.
     """
-    log_term, phi, zero = _threshold_terms(phi_w)
-    return scalar_or_array(np.where(zero, 1.0, log_term / phi))
+    return scalar_or_array(_checked_threshold_factors(phi_w)[1])

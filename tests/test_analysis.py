@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from beamsweep import analysis, core
 from beamsweep.analysis import (
     DetectionAnalysis,
     analyze_scenario,
@@ -21,6 +23,7 @@ from beamsweep.core import (
     make_sweep_plan,
     path_loss,
 )
+from beamsweep.presets import fig3_config
 
 from oracles import reg_lower_gamma_reference, reg_upper_gamma_reference
 
@@ -268,6 +271,50 @@ class TestAnalyzeScenario:
             pinsker_lb=-1.0,
         )
         assert vacuous.pinsker_vacuous
+
+
+class TestOneEvaluationPass:
+    """One analysis computes ln(1+phi_w) once per sector count and runs each check once."""
+
+    @pytest.mark.parametrize(
+        "pa_watt, m",
+        [(None, 8), (None, [8]), (None, "curve"), (1e-303, "curve")],
+        ids=["point", "one-element", "curve", "blind-curve"],
+    )
+    def test_log1p_once_per_sector_count(self, monkeypatch, pa_watt, m):
+        cfg = fig3_config()
+        if pa_watt is not None:
+            cfg = dataclasses.replace(cfg, pa_watt=pa_watt)
+        if m == "curve":
+            m = np.arange(1, cfg.m_max + 1)
+        original = core.elementwise_log1p
+        elements = []
+
+        def counting(x):
+            elements.append(np.size(x))
+            return original(x)
+
+        monkeypatch.setattr(analysis, "elementwise_log1p", counting)
+        monkeypatch.setattr(core, "elementwise_log1p", counting)
+        analyze_scenario(cfg, m)
+        assert sum(elements) == np.size(m)
+
+    @pytest.mark.parametrize("m", [8, "curve"])
+    def test_each_check_runs_once(self, monkeypatch, m):
+        cfg = fig3_config()
+        if m == "curve":
+            m = np.arange(1, cfg.m_max + 1)
+        original = core.require
+        messages = []
+
+        def recording(ok, message, *values, **kwargs):
+            messages.append(message)
+            original(ok, message, *values, **kwargs)
+
+        monkeypatch.setattr(analysis, "require", recording)
+        monkeypatch.setattr(core, "require", recording)
+        analyze_scenario(cfg, m)
+        assert messages and len(messages) == len(set(messages)), messages
 
 
 class TestArrayInputs:

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import os
 import random
+import subprocess
+import sys
 import threading
 import warnings
 from pathlib import Path
@@ -518,6 +520,21 @@ class TestWriteAtomic:
             cli._write_atomic(str(tmp_path / "out.csv"), "a,b\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_mode_follows_the_umask_without_reading_it(self, tmp_path, monkeypatch):
+        def refuse(mask):
+            raise AssertionError("the umask was read or changed")
+
+        out = tmp_path / "out.csv"
+        saved = os.umask(0o027)
+        try:
+            monkeypatch.setattr(cli.os, "umask", refuse)
+            cli._write_atomic(str(out), "a,b\n")
+        finally:
+            monkeypatch.undo()
+            os.umask(saved)
+        assert out.read_text() == "a,b\n"
+        assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+
     def test_concurrent_writers_do_not_collide(self, tmp_path):
         out = str(tmp_path / "out.csv")
         texts = ["first\n" * 1000, "second\n" * 1000]
@@ -538,6 +555,54 @@ class TestWriteAtomic:
         assert errors == []
         assert (tmp_path / "out.csv").read_text() in texts
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+class TestParserReuse:
+    """One parser serves every main() call in a process, and shares no state between them."""
+
+    # Options first, then the same commands without them, then a usage error
+    # and a good call.
+    SEQUENCE = [
+        ["analyze", "--config", FIG3_CFG, "--set", "m=8", "--dump-config"],
+        ["analyze", "--config", FIG3_CFG],
+        ["validate", "--set", "l_s=4", "--set", "phi_w=1", "--trials", "500", "--seed", "3"],
+        ["validate", "--set", "l_s=4", "--set", "phi_w=1"],
+        ["analyze", "--bogus"],
+        ["optimize", "--config", FIG2_CFG],
+    ]
+
+    @staticmethod
+    def fresh_process(*args):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        return subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        )
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_parser_is_not_built_at_import(self):
+        code = "import beamsweep.cli as cli; print(cli._build_parser.cache_info().currsize)"
+        result = self.fresh_process("-c", code)
+        assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr
+
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, capsys):
+        runs = []
+        for index, argv in enumerate(self.SEQUENCE):
+            out = tmp_path / f"{index}.csv"
+            code = main([*argv, "--out", str(out)])
+            captured = capsys.readouterr()
+            written = out.read_bytes() if out.exists() else None
+            runs.append((code, captured.out, captured.err, written))
+        assert [run[0] for run in runs] == [0, 0, 0, 0, 1, 0]
+        assert runs[0][1] == dump_config_text(load_config_values(FIG3_CFG))
+        assert runs[4][2] == "error: unrecognized arguments: --bogus\n"
+        # The calls without options, one of them right after the usage error.
+        for index in (1, 3, 5):
+            out = tmp_path / f"fresh{index}.csv"
+            fresh = self.fresh_process("-m", "beamsweep", *self.SEQUENCE[index], "--out", str(out))
+            written = out.read_bytes() if out.exists() else None
+            assert (fresh.returncode, fresh.stdout, fresh.stderr, written) == runs[index]
 
 
 class TestExitCodes:
@@ -605,6 +670,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: path loss overflows a float at d_aw=1e-300, path_exp=2.0, "
             "carrier_hz=2400000000.0\n"
+        )
+
+    def test_sector_count_beyond_int64_on_a_wide_array(self, tmp_path, capsys):
+        # m_max is about 5e39, so m = 10**30 is feasible, but numpy holds it
+        # only as a Python int.
+        out = tmp_path / "x.csv"
+        argv = ["--config", FIG3_CFG, "--set", f"n_antennas={10**40}", "--set", f"m={10**30}"]
+        assert main(["analyze", *argv, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith(f"{10**30},3.2000000000000003e-29,")
+        assert main(["validate", *argv, "--out", str(tmp_path / "v.csv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: m={10**30} leaves no whole symbol per sector (l_total=32)\n"
         )
 
     @pytest.mark.parametrize("command", ["sweep-m", "optimize"])
