@@ -34,6 +34,7 @@ from .core import (
 from .montecarlo import (
     McConfig,
     McEstimate,
+    estimate_cells,
     estimate_errors,
     retry_seed,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "SweepPlan",
     "analyze_scenario",
     "dbm_to_watt",
+    "estimate_cells",
     "estimate_errors",
     "false_alarm",
     "fig2_config",

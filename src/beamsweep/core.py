@@ -66,7 +66,14 @@ def as_floats(x) -> FloatOrArray:
 
 
 def scalar_or_array(value: np.ndarray) -> FloatOrArray:
-    """A 0-d result as a Python number, any other as the array."""
+    """A 0-d result as a Python number, any other as the array.
+
+    A float64 scalar is a ``float`` subclass, and ``float()`` of one costs a
+    fraction of its ``.item()``; a 0-d array (an int one may hold a Python
+    int beyond int64) goes through ``.item()``, which is cheap on an array.
+    """
+    if isinstance(value, float):
+        return float(value)
     return value.item() if value.ndim == 0 else value
 
 

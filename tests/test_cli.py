@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamsweep import ConvergenceError, analysis, cli, presets
+from beamsweep import ConvergenceError, analysis, cli, montecarlo, presets
 from beamsweep.analysis import DetectionAnalysis, analyze_scenario
 from beamsweep.cli import main
 from beamsweep.presets import (
@@ -381,6 +381,82 @@ class TestValidateCommand:
             ["validate", "--out", str(tmp_path / "x.csv"), "--set", "m=2"]
         )
         assert code == 1
+
+
+class TestValidateConcurrency:
+    """validate runs its Monte Carlo streams concurrently with the parent's bytes."""
+
+    @pytest.fixture
+    def probe(self, monkeypatch):
+        """Calls into the per-stream counter: total and most at once."""
+        count_events = montecarlo._count_events
+        lock = threading.Lock()
+        state = {"calls": 0, "active": 0, "most": 0}
+
+        def counter(job):
+            with lock:
+                state["calls"] += 1
+                state["active"] += 1
+                state["most"] = max(state["most"], state["active"])
+            try:
+                return count_events(job)
+            finally:
+                with lock:
+                    state["active"] -= 1
+
+        monkeypatch.setattr(montecarlo, "_count_events", counter)
+        return state
+
+    def run_with_cpus(self, monkeypatch, probe, tmp_path, cpus, argv):
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        probe["most"] = 0
+        out = tmp_path / f"cpus{cpus}.csv"
+        threads = threading.active_count()
+        code = main(["validate", *argv, "--out", str(out)])
+        assert threading.active_count() == threads
+        return code, out.read_bytes(), probe["most"]
+
+    # Small CPU counts only: each worker is one thread.
+    def test_default_grid_bytes_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch, probe):
+        one = self.run_with_cpus(monkeypatch, probe, tmp_path, 1, [])
+        three = self.run_with_cpus(monkeypatch, probe, tmp_path, 3, [])
+        assert one[:2] == three[:2]
+        assert one[0] == 0
+        assert one[2] == 1 and 1 <= three[2] <= 3
+
+    def test_retried_cell_bytes_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch, probe):
+        # As in test_unconfirmable_cell_exits_three: both rounds fail.
+        monkeypatch.setattr(cli, "false_alarm", lambda l_s, phi_w: 0.35)
+        argv = ["--set", "l_s=1", "--set", "phi_w=1", "--trials", "10000"]
+        one = self.run_with_cpus(monkeypatch, probe, tmp_path, 1, argv)
+        three = self.run_with_cpus(monkeypatch, probe, tmp_path, 3, argv)
+        assert one[:2] == three[:2]
+        assert one[0] == 3
+        # One cell is two streams per round, so a third worker is never used.
+        assert one[2] == 1 and 1 <= three[2] <= 2
+        assert probe["calls"] == 8  # two rounds of two streams, twice
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # The second cell fails a closed-form check.
+            (["--set", "l_s=1,0", "--set", "phi_w=1"], "l_s must be finite and > 0, got 0.0"),
+            (["--set", "l_s=4", "--set", "phi_w=1,-1"], "phi_w must be finite and > 0, got -1.0"),
+            # The first cell's McConfig fails before the second cell is checked.
+            (["--set", "l_s=4,0", "--set", "phi_w=1", "--trials", "0"],
+             "trials must be >= 1, got 0"),
+            (["--set", "l_s=4,0", "--set", "phi_w=1", "--seed", "-1"],
+             "seed must be a 64-bit unsigned integer, got -1"),
+        ],
+    )
+    def test_checks_run_before_any_stream(self, tmp_path, capsys, probe, argv, message):
+        out = tmp_path / "x.csv"
+        threads = threading.active_count()
+        assert main(["validate", *argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert probe["calls"] == 0
+        assert threading.active_count() == threads
+        assert not out.exists()
 
 
 class TestReproCommand:

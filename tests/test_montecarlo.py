@@ -1,15 +1,21 @@
 import math
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from beamsweep import montecarlo
 from beamsweep.analysis import false_alarm, miss_detection
 from beamsweep.montecarlo import (
     McConfig,
     McEstimate,
     _simulate_batch,
+    estimate_cells,
     estimate_errors,
     retry_seed,
 )
@@ -188,3 +194,69 @@ class TestEstimates:
         assert est.ci_halfwidth_beta == pytest.approx(
             wilson_halfwidth(est.beta_hat, 5000), abs=1e-15
         )
+
+
+class TestConcurrentStreams:
+    CELLS = [
+        (phi_w, McConfig(trials=3000, seed=seed, l_sector_int=l_s))
+        for phi_w, seed, l_s in [(0.5, 1, 1), (2.0, 1, 4), (1.0, 7, 16), (10.0, 3, 2)]
+    ]
+
+    def test_cells_match_one_cell_calls(self):
+        assert estimate_cells(self.CELLS) == [estimate_errors(*cell) for cell in self.CELLS]
+
+    def test_no_cells_start_no_pool(self):
+        assert estimate_cells([]) == []
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_counts_do_not_depend_on_the_workers(self, monkeypatch, cpus):
+        expected = [estimate_errors(*cell) for cell in self.CELLS]
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        threads = threading.active_count()
+        # Frequent thread switches, so a count gathered out of order shows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert estimate_cells(self.CELLS) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+
+    def test_every_cell_checked_before_any_stream(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(montecarlo, "_count_events", started.append)
+        mc = McConfig(trials=10, seed=1, l_sector_int=2)
+        with pytest.raises(ValueError, match="got 0.0"):
+            estimate_cells([(1.0, mc), (0.0, mc)])
+        assert started == []
+
+    def test_failing_stream_raises_and_cancels_the_rest(self, monkeypatch):
+        # One worker: the first stream raises, the next may already have
+        # started, and every later one must be cancelled, not run.
+        count_events = montecarlo._count_events
+        started = []
+
+        def counter(job):
+            started.append(job)
+            if len(started) == 1:
+                raise RuntimeError("stream failed")
+            time.sleep(0.2)  # long enough for the caller to cancel the rest
+            return count_events(job)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(montecarlo, "_count_events", counter)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="stream failed"):
+            estimate_cells(self.CELLS)
+        assert threading.active_count() == threads
+        assert 1 <= len(started) <= 2 < 2 * len(self.CELLS)
+
+    def test_usable_cpus_follow_the_affinity_set(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+        assert montecarlo._usable_cpus() == 3
+
+    @pytest.mark.parametrize("count, expected", [(3, 3), (None, 1)])
+    def test_usable_cpus_fall_back_to_the_cpu_count(self, monkeypatch, count, expected):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert montecarlo._usable_cpus() == expected
