@@ -14,12 +14,10 @@ from beamsweep import (
     fig3_config,
     kl_divergence_approx,
     kl_divergence_exact,
-    path_loss,
     sweep_sectors,
 )
 
 cfg = fig3_config()
-rho = path_loss(cfg)
 curve = sweep_sectors(cfg)
 a = curve.analysis  # one array per quantity; element m - 1 belongs to m
 
@@ -28,7 +26,7 @@ print()
 print("   m     xi (exact)   1-sqrt(D/2)    D (exact)   D (small-SNR form)")
 for m in (1, 4, 8, 16, 31, 48, 67):
     i = m - 1
-    approx = kl_divergence_approx(cfg, m, rho)
+    approx = kl_divergence_approx(cfg, m)
     print(
         f"  {m:3d}   {a.xi[i]:10.4f}   {a.pinsker_lb[i]:11.4f}"
         f"   {a.kl_exact[i]:10.4f}   {approx:12.4f}"
@@ -48,7 +46,7 @@ print("Overshoot of the small-SNR divergence form at low SNR:")
 for m in (1, 2, 4):
     phi_w = float(a.phi_w[m - 1])
     exact = kl_divergence_exact(float(a.l_sector[m - 1]), phi_w)
-    approx = kl_divergence_approx(cfg, m, rho)
+    approx = kl_divergence_approx(cfg, m)
     print(
         f"  m={m}: phi_w={phi_w:.4f}  approx/exact = {approx / exact:.3f}"
         "  (tends to 2 as phi_w -> 0)"

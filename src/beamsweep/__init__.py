@@ -21,13 +21,9 @@ from .analysis import (
     total_error,
 )
 from .core import (
-    LinkBudget,
     ScenarioConfig,
     SweepPlan,
     dbm_to_watt,
-    h0_threshold_factor,
-    h1_threshold_factor,
-    make_link_budget,
     make_sweep_plan,
     path_loss,
 )
@@ -46,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConvergenceError",
     "DetectionAnalysis",
-    "LinkBudget",
     "McConfig",
     "McEstimate",
     "ScenarioConfig",
@@ -59,11 +54,8 @@ __all__ = [
     "false_alarm",
     "fig2_config",
     "fig3_config",
-    "h0_threshold_factor",
-    "h1_threshold_factor",
     "kl_divergence_approx",
     "kl_divergence_exact",
-    "make_link_budget",
     "make_sweep_plan",
     "miss_detection",
     "path_loss",

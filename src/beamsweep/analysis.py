@@ -16,7 +16,9 @@ its sector counts; either way the result is one ``DetectionAnalysis``. It
 checks its inputs once, at the entry, computes ln(1+phi_w) and the two test
 thresholds once, and hands them to the private kernels that the public
 closed forms also run after their own checks, so a field of the analysis
-equals the public closed form at that point bit for bit.
+equals the public closed form at that point bit for bit. The thresholds come
+from ``core._threshold_factors``, the kernel the Monte Carlo validator's
+threshold uses too.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .core import (
     fields_equal,
     finite_nonnegative,
     finite_positive,
-    make_link_budget,
     make_sweep_plan,
+    path_loss,
     require,
     scalar_or_array,
 )
@@ -194,16 +196,17 @@ def kl_divergence_exact(l_s: FloatOrArray, phi_w: FloatOrArray) -> FloatOrArray:
     return scalar_or_array(_kl_exact(l_s, phi_w, elementwise_log1p(phi_w)))
 
 
-def kl_divergence_approx(
-    cfg: ScenarioConfig, m: int | np.ndarray, rho_aw: float
-) -> FloatOrArray:
+def kl_divergence_approx(cfg: ScenarioConfig, m: int | np.ndarray) -> FloatOrArray:
     """Small-SNR closed form of the divergence in the raw scenario parameters.
 
     4 L_t (P_a rho)^2 M / ((sigma^2 theta_t)^2 + 2 P_a rho sigma^2 theta_t M),
-    obtained by replacing ln(1+phi) with phi. Note the replacement doubles
-    the leading phi^2/2 term, so this overshoots the exact divergence by a
-    factor approaching 2 at low SNR; see the tests for the measured ratio.
+    obtained by replacing ln(1+phi) with phi, where rho is ``path_loss(cfg)``.
+    Note the replacement doubles the leading phi^2/2 term, so this overshoots
+    the exact divergence by a factor approaching 2 at low SNR; see the tests
+    for the measured ratio. Raises ValueError if the path loss overflows or
+    underflows to 0.
     """
+    rho_aw = path_loss(cfg)
     m = np.asarray(m)
     require(m >= 1, "sector count m must be >= 1, got {}", m)
     if not (math.isfinite(rho_aw) and rho_aw > 0.0):
@@ -249,15 +252,14 @@ def analyze_scenario(
     # the checks reject them where they matter.
     with np.errstate(all="ignore"):
         plan = make_sweep_plan(cfg, m)
-        budget = make_link_budget(cfg, plan)
-        l_s, phi_w = _point(plan.l_sector, budget.phi_w)
+        l_s, phi_w = _point(plan.l_sector, plan.phi_w)
         log_term, x0, x1 = _thresholds(l_s, phi_w)
         alpha = _false_alarm(l_s, phi_w, x0, x1)
         beta = _lower_gamma(l_s, x1)
         kl = _kl_exact(l_s, phi_w, log_term)
-        kl_approx = _kl_approx(cfg, as_floats(plan.m_sectors), budget.rho_aw)
+        kl_approx = _kl_approx(cfg, as_floats(plan.m_sectors), path_loss(cfg))
         return DetectionAnalysis(
-            plan.m_sectors, plan.l_sector, budget.phi_w,
+            plan.m_sectors, plan.l_sector, plan.phi_w,
             *map(scalar_or_array, (alpha, beta, alpha + beta, kl, kl_approx)),
             pinsker_lower_bound(kl),
         )

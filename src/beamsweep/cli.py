@@ -37,7 +37,7 @@ from .analysis import (
     false_alarm,
     miss_detection,
 )
-from .core import ScenarioConfig, make_link_budget, make_sweep_plan
+from .core import ScenarioConfig, make_sweep_plan
 from .montecarlo import McConfig, McEstimate, estimate_cells, retry_seed
 from .optimizer import SweepCurve, sweep_sectors
 from .presets import (
@@ -113,14 +113,20 @@ def _write_atomic(path: str, text: str) -> None:
     # file the permissions open() would, without reading the umask.
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f"{name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        # The temp name is random and not one the user gave: name the target.
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def _text(lines: Iterable[str]) -> str:
@@ -214,7 +220,6 @@ def _validate_cells(args: argparse.Namespace, raw: dict[str, str]) -> list[tuple
         cells = []
         for m in m_list:
             plan = make_sweep_plan(cfg, m)
-            budget = make_link_budget(cfg, plan)
             l_int = cfg.l_total // m
             if l_int < 1:
                 raise ConfigError(
@@ -227,7 +232,7 @@ def _validate_cells(args: argparse.Namespace, raw: dict[str, str]) -> list[tuple
                     f"{plan.l_sector:.6g}",
                     file=sys.stderr,
                 )
-            cells.append((l_int, budget.phi_w))
+            cells.append((l_int, plan.phi_w))
         return cells
     if "m" in raw:
         raise ConfigError("--set m=... requires --config")
@@ -302,9 +307,11 @@ def _run_repro(args: argparse.Namespace, raw: dict[str, str]) -> int:
     _apply_scenario_overrides(raw, base)
     _reject_unknown(raw)
 
+    # Every scenario is built, and so checked, before any file is written.
+    scenarios = [build_scenario({**base, sweep_key: value}) for value in sweep_values]
     os.makedirs(out_dir, exist_ok=True)
-    for value in sweep_values:
-        curve = sweep_sectors(build_scenario({**base, sweep_key: value}))
+    for value, cfg in zip(sweep_values, scenarios):
+        curve = sweep_sectors(cfg)
         # The exact value, so sweep values that agree to a few digits never
         # share a file name.
         name = f"{args.preset}_{sweep_key}_{format_value(value)}.csv"

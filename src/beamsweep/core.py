@@ -1,7 +1,9 @@
-"""Scenario parameters, sector geometry, and the warden's link budget.
+"""Scenario parameters, the sweep plan, and the test-threshold kernel.
 
-Everything downstream works in two normalized coordinates derived here: the
-per-sector sample count ``l_sector`` and the post-beamforming SNR ``phi_w``.
+Everything downstream works in two normalized coordinates that
+``make_sweep_plan`` derives here in one step from a scenario and a sector
+count: the per-sector sample count ``l_sector`` and the post-beamforming SNR
+``phi_w``.
 All powers are SI watts internally; dBm appears only at the config-file
 boundary.
 
@@ -167,26 +169,19 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Per-sector quantities for a sweep divided into ``m_sectors`` sectors.
+    """The per-sector dwell and SNR of a sweep divided into ``m_sectors`` sectors.
 
-    For an array of sector counts every field is an array over them.
+    ``l_sector`` and ``phi_w`` are the two numbers that fix the detector in a
+    sector. For an array of sector counts every field is an array over them.
     ``l_sector`` is kept real-valued; only the Monte Carlo validator needs an
     integer sample count and floors it at its own boundary.
     """
 
     m_sectors: int | np.ndarray
     l_sector: FloatOrArray
-    array_gain: FloatOrArray
+    phi_w: FloatOrArray
 
     __eq__ = fields_equal
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    """Path loss and the post-beamforming SNR."""
-
-    rho_aw: float
-    phi_w: FloatOrArray
 
 
 def path_loss(cfg: ScenarioConfig) -> float:
@@ -206,11 +201,13 @@ def path_loss(cfg: ScenarioConfig) -> float:
 
 
 def make_sweep_plan(cfg: ScenarioConfig, m: int | np.ndarray) -> SweepPlan:
-    """Divide the suspicious range into ``m`` sectors.
+    """Divide the suspicious range into ``m`` sectors: the dwell and SNR of each.
 
     The steered array concentrates its gain on one sector at a time, so the
     gain is inversely proportional to the sector width: gain = 2 / width =
-    2 m / theta_t. Raises ValueError if ``m`` is outside [1, m_max].
+    2 m / theta_t, and the warden's SNR is phi_w = pa * rho * gain / noise.
+    Raises ValueError if ``m`` is outside [1, m_max], if the path loss
+    overflows, or at the first sector count whose phi_w overflows.
     """
     m_max = cfg.m_max
     m = np.asarray(m)
@@ -220,22 +217,12 @@ def make_sweep_plan(cfg: ScenarioConfig, m: int | np.ndarray) -> SweepPlan:
     # Python's int division rounds l_total / m once for any l_total; numpy
     # would round l_total to a double first.
     l_sector = np.array([cfg.l_total / k for k in m.ravel().tolist()], dtype=float)
-    return SweepPlan(
-        m_sectors=scalar_or_array(m),
-        l_sector=scalar_or_array(l_sector.reshape(m.shape)),
-        array_gain=scalar_or_array(2.0 * as_floats(m) / cfg.theta_t),
-    )
-
-
-def make_link_budget(cfg: ScenarioConfig, plan: SweepPlan) -> LinkBudget:
-    """Compute the path loss and the warden's SNR phi_w = pa * rho * gain / noise.
-
-    Raises ValueError at the first sector count whose phi_w overflows.
-    """
-    rho = path_loss(cfg)
-    phi_w = cfg.pa_watt * rho * plan.array_gain / cfg.noise_watt
+    # A Python float for one m, so phi_w is one too, and its overflow gives inf
+    # without a numpy warning.
+    gain = scalar_or_array(2.0 * as_floats(m) / cfg.theta_t)
+    phi_w = cfg.pa_watt * path_loss(cfg) * gain / cfg.noise_watt
     require(finite_nonnegative(phi_w), "phi_w must be finite and >= 0, got {}", phi_w)
-    return LinkBudget(rho_aw=rho, phi_w=phi_w)
+    return SweepPlan(scalar_or_array(m), scalar_or_array(l_sector.reshape(m.shape)), phi_w)
 
 
 def _threshold_factors(
@@ -243,36 +230,11 @@ def _threshold_factors(
 ) -> tuple[FloatOrArray, FloatOrArray]:
     """The H0 and H1 threshold factors from ``log_term`` = ln(1+phi) at phi > 0.
 
-    The H1 factor is ln(1+phi)/phi and the H0 factor ln(1+phi) + ln(1+phi)/phi,
-    so one division serves both.
+    The test threshold is l_s times the H0 factor ln(1+phi)(1+1/phi) in units
+    of the mean no-signal statistic per sample, and l_s times the H1 factor
+    ln(1+phi)/phi in units of the signal-present one; both tend to 1 as
+    phi -> 0. One division serves both. Every threshold in the package, the
+    closed forms' and the Monte Carlo validator's, comes from here.
     """
     h1 = log_term / phi
     return log_term + h1, h1
-
-
-def _checked_threshold_factors(phi_w: FloatOrArray) -> tuple[np.ndarray, np.ndarray]:
-    """Both threshold factors of a checked ``phi_w``; phi = 0 gives 1 for both."""
-    phi = as_floats(phi_w)
-    require(finite_nonnegative(phi), "phi_w must be finite and >= 0, got {}", phi)
-    zero = phi == 0.0
-    phi = np.where(zero, 1.0, phi)
-    h0, h1 = _threshold_factors(elementwise_log1p(phi), phi)
-    return np.where(zero, 1.0, h0), np.where(zero, 1.0, h1)
-
-
-def h0_threshold_factor(phi_w: FloatOrArray) -> FloatOrArray:
-    """Test threshold in units of the mean no-signal statistic per sample.
-
-    Equals ln(1+phi)(1+1/phi); tends to 1 as phi -> 0 (a blind test sits at
-    the mean) and grows like ln(phi) for large phi.
-    """
-    return scalar_or_array(_checked_threshold_factors(phi_w)[0])
-
-
-def h1_threshold_factor(phi_w: FloatOrArray) -> FloatOrArray:
-    """Test threshold in units of the mean signal-present statistic per sample.
-
-    Equals ln(1+phi)/phi, the previous factor divided by (1+phi); tends to 1
-    as phi -> 0 and to 0 as phi -> infinity.
-    """
-    return scalar_or_array(_checked_threshold_factors(phi_w)[1])

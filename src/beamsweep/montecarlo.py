@@ -8,7 +8,9 @@ of a unit complex Gaussian is Exp(1), so the normalized statistic, a sum of
 l_sector unit exponentials, is exactly Gamma(l_sector) under the noise-only
 hypothesis and (1 + phi_w) times that with the signal present. Each trial is
 therefore one ``standard_gamma`` draw (Marsaglia & Tsang, ACM TOMS 26 (2000)
-363), whose cost does not grow with l_sector.
+363), whose cost does not grow with l_sector. Both hypotheses are compared
+with the closed forms' H0 threshold, from the same kernel
+(``core._threshold_factors``).
 
 Determinism contract: each (seed, hypothesis) keys one counter-based (Philox)
 stream, and trial i is draw i of that stream. numpy fills arrays from a
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import h0_threshold_factor
+from .core import _threshold_factors
 
 _CI_Z = 1.96  # 95% Wilson score interval
 # Trials per chunk: 128 KB of statistics, for any l_s, so two concurrent
@@ -125,14 +127,15 @@ def _threshold(phi_w: float, l_s: int) -> float:
 
     In the normalized statistic this is l_s ln(1+phi)(1+1/phi); the inflated
     signal-present variance is what turns it into l_s ln(1+phi)/phi relative
-    to that hypothesis' own scale.
+    to that hypothesis' own scale. It comes from the threshold kernel the
+    closed forms use, so it equals their H0 threshold bit for bit.
     """
     if not (math.isfinite(phi_w) and phi_w > 0.0):
         raise ValueError(
             f"phi_w must be finite and > 0 to simulate the signal-present "
             f"hypothesis, got {phi_w}"
         )
-    return l_s * h0_threshold_factor(phi_w)
+    return l_s * _threshold_factors(math.log1p(phi_w), phi_w)[0]
 
 
 def _count_events(job: tuple[int, float, bool, int, int, float]) -> int:

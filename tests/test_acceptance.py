@@ -19,12 +19,7 @@ from beamsweep.analysis import (
     total_error,
 )
 from beamsweep.cli import main
-from beamsweep.core import (
-    ScenarioConfig,
-    make_link_budget,
-    make_sweep_plan,
-    path_loss,
-)
+from beamsweep.core import ScenarioConfig, make_sweep_plan, path_loss
 from beamsweep.montecarlo import McConfig, estimate_errors, retry_seed
 from beamsweep.optimizer import sweep_sectors
 from beamsweep.presets import fig2_config, fig3_config
@@ -129,9 +124,8 @@ def test_criterion_06a_kl_approximation_error_growth():
     for phi in (0.01, 0.05, 0.2, 1.0):
         cfg = _scenario_with_phi(phi)
         plan = make_sweep_plan(cfg, 1)
-        budget = make_link_budget(cfg, plan)
-        exact = kl_divergence_exact(plan.l_sector, budget.phi_w)
-        approx = kl_divergence_approx(cfg, 1, budget.rho_aw)
+        exact = kl_divergence_exact(plan.l_sector, plan.phi_w)
+        approx = kl_divergence_approx(cfg, 1)
         errors.append(abs(approx - exact) / exact)
     ok = all(b > a for a, b in zip(errors, errors[1:]))
     _report(6, ok, f"approximation error over phi grid {errors} grows monotonically")
@@ -142,14 +136,13 @@ def test_criterion_06b_kl_approximation_small_snr_accuracy():
     checked = 0
     violations = []
     for cfg in (fig2_config(), fig3_config()):
-        rho = path_loss(cfg)
         curve = sweep_sectors(cfg).analysis
         for m, phi_w, kl_exact in zip(
             curve.m.tolist(), curve.phi_w.tolist(), curve.kl_exact.tolist()
         ):
             if phi_w <= 0.05:
                 checked += 1
-                rel = abs(kl_divergence_approx(cfg, m, rho) - kl_exact) / kl_exact
+                rel = abs(kl_divergence_approx(cfg, m) - kl_exact) / kl_exact
                 if rel > 0.05:
                     violations.append((m, phi_w, rel))
     ok = not violations

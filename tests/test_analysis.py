@@ -15,14 +15,7 @@ from beamsweep.analysis import (
     pinsker_lower_bound,
     total_error,
 )
-from beamsweep.core import (
-    ScenarioConfig,
-    h0_threshold_factor,
-    h1_threshold_factor,
-    make_link_budget,
-    make_sweep_plan,
-    path_loss,
-)
+from beamsweep.core import ScenarioConfig, make_sweep_plan, path_loss
 from beamsweep.presets import fig3_config
 
 from oracles import reg_lower_gamma_reference, reg_upper_gamma_reference
@@ -99,7 +92,8 @@ class TestFalseAlarmTail:
         + [(160.0, 1.0), (160.0, 10.0), (53.333333333333336, 100.0)],
     )
     def test_relative_accuracy_against_oracle(self, l_s, phi):
-        reference = reg_upper_gamma_reference(l_s, l_s * h0_threshold_factor(phi))
+        threshold = l_s * math.log1p(phi) * (1.0 + 1.0 / phi)
+        reference = reg_upper_gamma_reference(l_s, threshold)
         assert abs(false_alarm(l_s, phi) - reference) <= 1e-12 * reference
 
 
@@ -121,7 +115,8 @@ class TestMissDetectionTail:
         ],
     )
     def test_relative_accuracy_against_oracle(self, l_s, phi):
-        reference = reg_lower_gamma_reference(l_s, l_s * h1_threshold_factor(phi))
+        threshold = l_s * math.log1p(phi) / phi
+        reference = reg_lower_gamma_reference(l_s, threshold)
         assert abs(miss_detection(l_s, phi) - reference) <= 1e-10 * reference
 
 
@@ -159,25 +154,17 @@ class TestKlApproximation:
     def test_matches_normalized_form(self):
         # The raw-parameter expression equals l_s * phi^2 / (1 + phi).
         cfg = self.scenario()
-        rho = path_loss(cfg)
         for m in (1, 4, 16, 67):
             plan = make_sweep_plan(cfg, m)
-            budget = make_link_budget(cfg, plan)
-            expected = plan.l_sector * budget.phi_w ** 2 / (1.0 + budget.phi_w)
-            assert kl_divergence_approx(cfg, m, rho) == pytest.approx(
-                expected, rel=1e-12
-            )
+            expected = plan.l_sector * plan.phi_w ** 2 / (1.0 + plan.phi_w)
+            assert kl_divergence_approx(cfg, m) == pytest.approx(expected, rel=1e-12)
 
     def test_overshoots_exact_by_factor_two_at_low_snr(self):
         # Replacing ln(1+phi) by phi doubles the leading phi^2/2 term, so the
         # ratio to the exact divergence tends to 2 from above as phi -> 0.
         cfg = self.scenario(pa_watt=1e-5)  # phi(m=1) ~ 1.9e-5
-        rho = path_loss(cfg)
         plan = make_sweep_plan(cfg, 1)
-        budget = make_link_budget(cfg, plan)
-        ratio = kl_divergence_approx(cfg, 1, rho) / kl_divergence_exact(
-            plan.l_sector, budget.phi_w
-        )
+        ratio = kl_divergence_approx(cfg, 1) / kl_divergence_exact(plan.l_sector, plan.phi_w)
         assert ratio == pytest.approx(2.0, rel=1e-4)
 
     def test_relative_error_grows_with_snr(self):
@@ -185,11 +172,9 @@ class TestKlApproximation:
         errors = []
         for pa in (1e-4, 1e-3, 1e-2, 0.1):
             cfg = self.scenario(pa_watt=pa)
-            rho = path_loss(cfg)
             plan = make_sweep_plan(cfg, 1)
-            budget = make_link_budget(cfg, plan)
-            exact = kl_divergence_exact(plan.l_sector, budget.phi_w)
-            approx = kl_divergence_approx(cfg, 1, rho)
+            exact = kl_divergence_exact(plan.l_sector, plan.phi_w)
+            approx = kl_divergence_approx(cfg, 1)
             errors.append(abs(approx - exact) / exact)
         assert all(b > a for a, b in zip(errors, errors[1:]))
         assert all(err > 1.0 for err in errors)
@@ -198,13 +183,13 @@ class TestKlApproximation:
         cfg = self.scenario()
         rho = path_loss(cfg)
         limit = 2.0 * cfg.l_total * cfg.pa_watt * rho / (cfg.noise_watt * cfg.theta_t)
-        assert kl_divergence_approx(cfg, 10 ** 9, rho) == pytest.approx(
+        assert kl_divergence_approx(cfg, 10 ** 9) == pytest.approx(
             limit, rel=1e-6
         )
 
     def test_vanishes_with_power(self):
         cfg = self.scenario(pa_watt=1e-200)
-        assert kl_divergence_approx(cfg, 4, path_loss(cfg)) < 1e-100
+        assert kl_divergence_approx(cfg, 4) < 1e-100
 
 
 class TestPinskerBound:
@@ -248,13 +233,13 @@ class TestAnalyzeScenario:
         )
         result = analyze_scenario(cfg, 8)
         plan = make_sweep_plan(cfg, 8)
-        budget = make_link_budget(cfg, plan)
         assert isinstance(result, DetectionAnalysis)
-        assert result.alpha == false_alarm(plan.l_sector, budget.phi_w)
-        assert result.beta == miss_detection(plan.l_sector, budget.phi_w)
+        assert (result.m, result.l_sector, result.phi_w) == (8, plan.l_sector, plan.phi_w)
+        assert result.alpha == false_alarm(plan.l_sector, plan.phi_w)
+        assert result.beta == miss_detection(plan.l_sector, plan.phi_w)
         assert result.xi == result.alpha + result.beta
-        assert result.kl_exact == kl_divergence_exact(plan.l_sector, budget.phi_w)
-        assert result.kl_approx == kl_divergence_approx(cfg, 8, budget.rho_aw)
+        assert result.kl_exact == kl_divergence_exact(plan.l_sector, plan.phi_w)
+        assert result.kl_approx == kl_divergence_approx(cfg, 8)
         assert result.pinsker_lb == pinsker_lower_bound(result.kl_exact)
         assert not result.pinsker_vacuous
 
@@ -317,6 +302,25 @@ class TestOneEvaluationPass:
         assert messages and len(messages) == len(set(messages)), messages
 
 
+def plan_at_overflowing_power(m):
+    """``make_sweep_plan`` where pa * rho is about 1e307 and the gain is m.
+
+    phi_w overflows to inf from m = 18 on; as in ``analyze_scenario``, the
+    overflow gives inf without a warning and the check rejects it.
+    """
+    cfg = ScenarioConfig(
+        pa_watt=1e307,
+        noise_watt=1.0,
+        theta_t=2.0,
+        n_antennas=64,
+        l_total=64,
+        d_aw=1.0,
+        carrier_hz=3.0e8 / (4.0 * math.pi),
+    )
+    with np.errstate(over="ignore"):
+        return make_sweep_plan(cfg, m)
+
+
 class TestArrayInputs:
     """Each closed form takes floats or arrays; floats give Python floats back."""
 
@@ -338,20 +342,18 @@ class TestArrayInputs:
 
     def test_single_value_functions(self):
         phis = self.PHI.tolist()
-        for func in (h0_threshold_factor, h1_threshold_factor, pinsker_lower_bound):
-            assert func(self.PHI).tolist() == [func(phi) for phi in phis]
-            assert all(type(func(phi)) is float for phi in phis)
+        assert pinsker_lower_bound(self.PHI).tolist() == [pinsker_lower_bound(p) for p in phis]
+        assert all(type(pinsker_lower_bound(phi)) is float for phi in phis)
 
     def test_divergence_approx_over_sector_counts(self):
         cfg = ScenarioConfig(
             pa_watt=0.01, noise_watt=1e-8, theta_t=1.0, n_antennas=64, l_total=32, d_aw=50.0
         )
-        rho = path_loss(cfg)
         ms = np.arange(1, 33)
-        assert kl_divergence_approx(cfg, ms, rho).tolist() == [
-            kl_divergence_approx(cfg, m, rho) for m in ms.tolist()
+        assert kl_divergence_approx(cfg, ms).tolist() == [
+            kl_divergence_approx(cfg, m) for m in ms.tolist()
         ]
-        assert type(kl_divergence_approx(cfg, 3, rho)) is float
+        assert type(kl_divergence_approx(cfg, 3)) is float
 
     @pytest.mark.parametrize(
         "func, args, message",
@@ -360,9 +362,9 @@ class TestArrayInputs:
             (miss_detection, ([1.0, math.inf, 0.0], 1.0), "l_s must be finite and > 0, got inf"),
             (kl_divergence_exact, (2.0, [0.0, math.nan, -1.0]), "phi_w must be finite and >= 0, got nan"),
             (pinsker_lower_bound, ([1.0, -1e-9, -2.0],), "kl must be finite and >= 0, got -1e-09"),
-            (h0_threshold_factor, ([1.0, 2.0, math.inf],), "phi_w must be finite and >= 0, got inf"),
+            (plan_at_overflowing_power, ([1, 2, 17, 18, 30],), "phi_w must be finite and >= 0, got inf"),
         ],
-        ids=["false_alarm", "miss_detection", "kl_divergence_exact", "pinsker", "h0_threshold"],
+        ids=["false_alarm", "miss_detection", "kl_divergence_exact", "pinsker", "sweep_plan"],
     )
     def test_first_invalid_element_named(self, func, args, message):
         with pytest.raises(ValueError) as info:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from beamsweep import ConvergenceError, analysis, cli, montecarlo, presets
 from beamsweep.analysis import DetectionAnalysis, analyze_scenario
@@ -501,6 +503,16 @@ class TestReproCommand:
         assert len(os.listdir(out_dir)) == 2
 
 
+    def test_invalid_sweep_value_writes_nothing(self, tmp_path, capsys):
+        # The first curve is valid, the second scenario is not: no file, and
+        # not even the directory, is written.
+        out_dir = tmp_path / "fig3"
+        assert main(["repro", "fig3", "--out", str(out_dir), "--set", "l_total=32,0"]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: l_total must be >= 1, got 0\n")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestRecordRows:
     """The printf row format writes what format_value writes, cell for cell."""
 
@@ -572,6 +584,94 @@ class TestCrossCommand:
         assert sweep_row == {column: by_column[column] for column in sweep_row}
 
 
+LARGE_ARRAY = ["--set", "n_antennas=4096", "--set", "theta_t=2", "--set", "l_total=100000"]
+
+
+class TestStandingByteGate:
+    """The curve commands print the bytes pinned here, on both shipped configs.
+
+    The hashes were recorded with numpy 2.4.6 and scipy 1.17.1; scipy's
+    incomplete gamma functions set the closed-form bytes. ``validate`` is left
+    out, because its bytes follow numpy's Generator stream.
+    """
+
+    # (argv without --out, {written file: sha256}, stdout); "{out}" is the
+    # output path, and the stdout of repro names the files it wrote.
+    CASES = {
+        "fig2 sweep-m": (
+            ["sweep-m", "--config", FIG2_CFG],
+            {"out": "bb25161392c8b6962f1966662df260ca7342b4990c6c86fe45dc3b53baef1183"},
+            "",
+        ),
+        "fig2 optimize": (
+            ["optimize", "--config", FIG2_CFG],
+            {"out": "9800bde4bbb6b9d3cf2c9a66350a4593f5c1a21ce3e158588e43d0e6679608ff"},
+            "m_star=1 xi_star=1.2794702224398705e-39\n",
+        ),
+        "fig2 analyze": (
+            ["analyze", "--config", FIG2_CFG, "--set", "m=8"],
+            {"out": "126dddb8d85f64afad65bbfdc456736d35675e8178d6fe7307c961a80f5e8c27"},
+            "",
+        ),
+        "fig3 sweep-m": (
+            ["sweep-m", "--config", FIG3_CFG],
+            {"out": "953d13ab35f327df4f8525ac5f8aa539da919d6afbb02e0bde24c824d2059567"},
+            "",
+        ),
+        "fig3 optimize": (
+            ["optimize", "--config", FIG3_CFG],
+            {"out": "f570666875897d81728463ceb5028b8f76a49c8666d98cb0a8e61e9c09035cd4"},
+            "m_star=31 xi_star=0.57430082027290363\n",
+        ),
+        "fig3 analyze": (
+            ["analyze", "--config", FIG3_CFG, "--set", "m=8"],
+            {"out": "d671cc4a5dcebbfa44e7b0fab655ed56a4d6d949885ddfc116c2491b5450f24d"},
+            "",
+        ),
+        "repro fig2": (
+            ["repro", "fig2"],
+            {
+                "out/fig2_noise_dbm_-50.csv":
+                    "bb25161392c8b6962f1966662df260ca7342b4990c6c86fe45dc3b53baef1183",
+                "out/fig2_noise_dbm_-60.csv":
+                    "8390ebdb945ffc1d03bfd5b1e6398612bfc03d4353e6277444a3d7bdf0f1b940",
+            },
+            "{out}/fig2_noise_dbm_-50.csv\n{out}/fig2_noise_dbm_-60.csv\n",
+        ),
+        "repro fig3": (
+            ["repro", "fig3"],
+            {
+                "out/fig3_l_total_32.csv":
+                    "953d13ab35f327df4f8525ac5f8aa539da919d6afbb02e0bde24c824d2059567",
+                "out/fig3_l_total_160.csv":
+                    "0915fe9bc4c303b2f83b1116d86c0608ff17ace44a768ad978c4eab75ddd5829",
+            },
+            "{out}/fig3_l_total_32.csv\n{out}/fig3_l_total_160.csv\n",
+        ),
+        "4096-antenna optimize": (
+            ["optimize", "--config", FIG3_CFG, *LARGE_ARRAY],
+            {"out": "ae79f35950b8c7f55b8fd38de844d18a2e3bf16e067d777e9e179a1bb3c1f1da"},
+            "m_star=89 xi_star=6.3348463803268872e-137\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_outputs_match_pinned_hashes(self, tmp_path, capsys, case):
+        argv, expected_files, expected_stdout = self.CASES[case]
+        out = tmp_path / "out"
+        code = main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        written = {
+            str(path.relative_to(tmp_path)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(tmp_path.rglob("*"))
+            if path.is_file()
+        }
+        versions = f"numpy {np.__version__}, scipy {scipy.__version__}"
+        assert (code, captured.err) == (0, ""), versions
+        assert captured.out == expected_stdout.format(out=out), versions
+        assert written == expected_files, f"{case} bytes changed under {versions}"
+
+
 class TestWriteAtomic:
     def test_leaves_only_the_output(self, tmp_path):
         out = tmp_path / "curve.csv"
@@ -610,6 +710,26 @@ class TestWriteAtomic:
             os.umask(saved)
         assert out.read_text() == "a,b\n"
         assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+    @pytest.mark.parametrize(
+        "target, reason",
+        [
+            ("missing/x.csv", "[Errno 2] No such file or directory"),
+            ("dir", "[Errno 21] Is a directory"),
+        ],
+        ids=["missing-directory", "directory-target"],
+    )
+    def test_failure_names_the_target(self, tmp_path, capsys, target, reason):
+        # The error names the --out path, not the random temp file, so it is
+        # the same on every run.
+        (tmp_path / "dir").mkdir()
+        out = tmp_path / target
+        errors = []
+        for _ in range(2):
+            assert main(["sweep-m", "--config", FIG3_CFG, "--out", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: {reason}: '{out}'\n"
+        assert [str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")] == ["dir"]
 
     def test_concurrent_writers_do_not_collide(self, tmp_path):
         out = str(tmp_path / "out.csv")

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from beamsweep import analysis, montecarlo
 from beamsweep.core import (
-    LinkBudget,
     ScenarioConfig,
     SweepPlan,
+    _threshold_factors,
     dbm_to_watt,
-    h0_threshold_factor,
-    h1_threshold_factor,
-    make_link_budget,
     make_sweep_plan,
     path_loss,
 )
@@ -18,6 +16,19 @@ from beamsweep.core import (
 # Frozen from a high-precision evaluation of (c / (4 pi f_c))^2 / d^2 at
 # f_c = 2.4 GHz, d = 100 m.
 RHO_2G4_100M = 9.894646840072048e-09
+
+
+def h0_factor(phi: float) -> float:
+    return _threshold_factors(math.log1p(phi), phi)[0]
+
+
+def h1_factor(phi: float) -> float:
+    return _threshold_factors(math.log1p(phi), phi)[1]
+
+
+def array_gain(cfg: ScenarioConfig, m: int) -> float:
+    """The steered array's gain 2 m / theta_t, computed apart from the package."""
+    return 2.0 * m / cfg.theta_t
 
 
 def default_config(**kwargs) -> ScenarioConfig:
@@ -81,12 +92,15 @@ class TestSweepPlan:
     def test_single_sector(self):
         cfg = default_config(theta_t=0.5, l_total=160, n_antennas=128)
         plan = make_sweep_plan(cfg, 1)
-        assert plan == SweepPlan(m_sectors=1, l_sector=160.0, array_gain=4.0)
+        phi_w = cfg.pa_watt * path_loss(cfg) * 4.0 / cfg.noise_watt
+        assert plan == SweepPlan(m_sectors=1, l_sector=160.0, phi_w=phi_w)
 
     def test_four_sectors(self):
-        plan = make_sweep_plan(default_config(), 4)
+        cfg = default_config()
+        plan = make_sweep_plan(cfg, 4)
         assert plan.l_sector == 8.0
-        assert plan.array_gain == pytest.approx(24.0 / math.pi, rel=1e-14)
+        gain = plan.phi_w * cfg.noise_watt / (cfg.pa_watt * path_loss(cfg))
+        assert gain == pytest.approx(24.0 / math.pi, rel=1e-14)
 
     @pytest.mark.parametrize("m", [0, -1, 68, 1000])
     def test_out_of_range_rejected(self, m):
@@ -95,10 +109,13 @@ class TestSweepPlan:
 
     @pytest.mark.parametrize("m", [1, 2, 7, 31, 67])
     def test_gain_width_product(self, m):
-        plan = make_sweep_plan(default_config(), m)
-        sector_width = default_config().theta_t / m
-        assert plan.array_gain * sector_width == pytest.approx(2.0, abs=1e-15)
-        assert plan.l_sector == default_config().l_total / m
+        cfg = default_config()
+        plan = make_sweep_plan(cfg, m)
+        sector_width = cfg.theta_t / m
+        gain = array_gain(cfg, m)
+        assert plan.phi_w == cfg.pa_watt * path_loss(cfg) * gain / cfg.noise_watt
+        assert gain * sector_width == pytest.approx(2.0, abs=1e-15)
+        assert plan.l_sector == cfg.l_total / m
 
 
 class TestLinkBudget:
@@ -115,11 +132,11 @@ class TestLinkBudget:
             carrier_hz=3.0e8 / (4.0 * math.pi),
         )
         plan = make_sweep_plan(cfg, 1)
-        assert plan.array_gain == 1.0
-        budget = make_link_budget(cfg, plan)
-        assert budget.rho_aw == pytest.approx(1.0, rel=1e-14)
-        assert budget.phi_w == pytest.approx(1.0, rel=1e-14)
-        assert h0_threshold_factor(budget.phi_w) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+        assert array_gain(cfg, 1) == 1.0
+        assert plan.phi_w == cfg.pa_watt * path_loss(cfg) * 1.0 / cfg.noise_watt
+        assert path_loss(cfg) == pytest.approx(1.0, rel=1e-14)
+        assert plan.phi_w == pytest.approx(1.0, rel=1e-14)
+        assert h0_factor(plan.phi_w) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
 
     def test_path_loss_value(self):
         cfg = default_config(d_aw=100.0, carrier_hz=2.4e9, path_exp=2.0)
@@ -142,10 +159,11 @@ class TestLinkBudget:
         cfg = default_config()
         ms = np.arange(1, cfg.m_max + 1)
         plan = make_sweep_plan(cfg, ms)
-        for m, l_sector, gain in zip(ms.tolist(), plan.l_sector.tolist(), plan.array_gain.tolist()):
+        for m, l_sector, phi_w in zip(ms.tolist(), plan.l_sector.tolist(), plan.phi_w.tolist()):
             one = make_sweep_plan(cfg, m)
             assert type(one.l_sector) is float and type(one.m_sectors) is int
-            assert (one.l_sector, one.array_gain) == (l_sector, gain)
+            assert type(one.phi_w) is float
+            assert (one.l_sector, one.phi_w) == (l_sector, phi_w)
 
     @pytest.mark.parametrize("bad", [0, 10**30, -(10**30)])
     def test_sweep_plan_names_first_infeasible_count(self, bad):
@@ -157,17 +175,14 @@ class TestLinkBudget:
     def test_vanishing_power_keeps_threshold_finite(self):
         cfg = default_config(pa_watt=1e-300)
         plan = make_sweep_plan(cfg, 4)
-        budget = make_link_budget(cfg, plan)
-        assert budget.phi_w > 0.0
+        assert plan.phi_w > 0.0
         # The threshold noise * gain * h0 tends to noise * gain as phi -> 0.
-        assert h0_threshold_factor(budget.phi_w) == pytest.approx(1.0, rel=1e-9)
-        assert isinstance(budget, LinkBudget)
+        assert h0_factor(plan.phi_w) == pytest.approx(1.0, rel=1e-9)
+        assert isinstance(plan, SweepPlan)
 
     def test_phi_monotone_in_sectors_noise_distance(self):
         cfg = default_config()
-        phis = [
-            make_link_budget(cfg, make_sweep_plan(cfg, m)).phi_w for m in range(1, 11)
-        ]
+        phis = [make_sweep_plan(cfg, m).phi_w for m in range(1, 11)]
         assert all(b > a for a, b in zip(phis, phis[1:]))
 
         for noisy, quiet in [(1e-7, 1e-8), (1e-8, 1e-9)]:
@@ -182,49 +197,45 @@ class TestLinkBudget:
     def test_normalized_threshold_identities(self, m):
         cfg = default_config()
         plan = make_sweep_plan(cfg, m)
-        budget = make_link_budget(cfg, plan)
-        l_s = plan.l_sector
+        l_s, gain, rho = plan.l_sector, array_gain(cfg, m), path_loss(cfg)
         # The raw threshold ln(1+phi) (noise/(pa*rho) + gain) * noise.
-        eta = math.log1p(budget.phi_w) * (
-            cfg.noise_watt / (cfg.pa_watt * budget.rho_aw) + plan.array_gain
+        eta = math.log1p(plan.phi_w) * (
+            cfg.noise_watt / (cfg.pa_watt * rho) + gain
         ) * cfg.noise_watt
-        lhs_h0 = eta * l_s / (plan.array_gain * cfg.noise_watt)
-        assert lhs_h0 == pytest.approx(
-            l_s * h0_threshold_factor(budget.phi_w), rel=1e-12
-        )
-        h1_scale = plan.array_gain * (
-            plan.array_gain * cfg.pa_watt * budget.rho_aw + cfg.noise_watt
-        )
+        lhs_h0 = eta * l_s / (gain * cfg.noise_watt)
+        assert lhs_h0 == pytest.approx(l_s * h0_factor(plan.phi_w), rel=1e-12)
+        h1_scale = gain * (gain * cfg.pa_watt * rho + cfg.noise_watt)
         lhs_h1 = eta * l_s / h1_scale
-        assert lhs_h1 == pytest.approx(
-            l_s * h1_threshold_factor(budget.phi_w), rel=1e-12
-        )
+        assert lhs_h1 == pytest.approx(l_s * h1_factor(plan.phi_w), rel=1e-12)
 
 
 class TestThresholdFactors:
+    """The one threshold kernel, ``core._threshold_factors``, at phi > 0."""
+
     def test_zero_snr_limits(self):
-        assert h0_threshold_factor(0.0) == 1.0
-        assert h1_threshold_factor(0.0) == 1.0
-        assert h0_threshold_factor(1e-300) == pytest.approx(1.0, abs=1e-15)
-        assert h1_threshold_factor(1e-300) == pytest.approx(1.0, abs=1e-15)
+        # At the smallest positive phi both factors are 1 to the last bit.
+        assert _threshold_factors(math.log1p(5e-324), 5e-324) == (1.0, 1.0)
+        assert h0_factor(1e-300) == pytest.approx(1.0, abs=1e-15)
+        assert h1_factor(1e-300) == pytest.approx(1.0, abs=1e-15)
 
     def test_unit_snr(self):
-        assert h0_threshold_factor(1.0) == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
-        assert h1_threshold_factor(1.0) == pytest.approx(math.log(2.0), rel=1e-15)
+        assert h0_factor(1.0) == pytest.approx(2.0 * math.log(2.0), rel=1e-15)
+        assert h1_factor(1.0) == pytest.approx(math.log(2.0), rel=1e-15)
 
     def test_ordering(self):
         # The no-signal factor exceeds the signal-present factor by (1+phi).
         for phi in (1e-6, 0.1, 1.0, 100.0):
-            assert h0_threshold_factor(phi) == pytest.approx(
-                (1.0 + phi) * h1_threshold_factor(phi), rel=1e-12
-            )
+            assert h0_factor(phi) == pytest.approx((1.0 + phi) * h1_factor(phi), rel=1e-12)
 
     def test_rejects_negative(self):
+        # The kernel takes checked inputs; the entry points that reach it check phi.
         with pytest.raises(ValueError):
-            h0_threshold_factor(-0.1)
+            montecarlo._threshold(-0.1, 4)
         with pytest.raises(ValueError):
-            h1_threshold_factor(-0.1)
+            analysis.false_alarm(4.0, -0.1)
+        with pytest.raises(ValueError):
+            analysis.miss_detection(4.0, -0.1)
 
 
 def _phi(cfg: ScenarioConfig) -> float:
-    return make_link_budget(cfg, make_sweep_plan(cfg, 1)).phi_w
+    return make_sweep_plan(cfg, 1).phi_w

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from beamsweep import montecarlo
+from beamsweep import analysis, montecarlo
 from beamsweep.analysis import false_alarm, miss_detection
 from beamsweep.montecarlo import (
     McConfig,
@@ -194,6 +194,24 @@ class TestEstimates:
         assert est.ci_halfwidth_beta == pytest.approx(
             wilson_halfwidth(est.beta_hat, 5000), abs=1e-15
         )
+
+
+class TestThreshold:
+    """A cell's threshold is the closed forms' H0 threshold, from the same kernel."""
+
+    PHIS = (5e-324, 1e-300, 1e-9, 0.1, 1.0, 1.5, 10.0, 1e6, 1e300, 1.7976931348623157e308)
+    DWELLS = (1, 2, 3, 16, 160, 2**53 + 1, 2**60 + 1)
+
+    def test_equals_closed_form_threshold_bit_for_bit(self):
+        for phi in self.PHIS:
+            for l_s in self.DWELLS:
+                expected = analysis._thresholds(float(l_s), np.float64(phi))[1]
+                assert montecarlo._threshold(phi, l_s) == expected, (phi, l_s)
+
+    @pytest.mark.parametrize("phi", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_snr_it_cannot_simulate(self, phi):
+        with pytest.raises(ValueError, match="phi_w must be finite and > 0"):
+            montecarlo._threshold(phi, 4)
 
 
 class TestConcurrentStreams:

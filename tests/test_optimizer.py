@@ -15,7 +15,7 @@ from beamsweep.analysis import (
     pinsker_lower_bound,
     total_error,
 )
-from beamsweep.core import ScenarioConfig, make_sweep_plan, path_loss
+from beamsweep.core import ScenarioConfig, make_sweep_plan
 from beamsweep.optimizer import SweepCurve, sweep_sectors
 from beamsweep.presets import PRESET_VALUES, build_scenario, fig2_config, fig3_config
 
@@ -186,7 +186,6 @@ class TestArrayCurve:
 
     def test_equals_scalar_closed_forms(self, scenario_curve):
         _, cfg, curve = scenario_curve
-        rho = path_loss(cfg)
         a = curve.analysis
         assert a.m.dtype.kind == "i" and a.l_sector.dtype == a.phi_w.dtype == np.float64
         for m, l_s, phi, alpha, beta, kl, kl_approx, lb in zip(
@@ -195,7 +194,7 @@ class TestArrayCurve:
             assert alpha == false_alarm(l_s, phi)
             assert beta == miss_detection(l_s, phi)
             assert kl == kl_divergence_exact(l_s, phi)
-            assert kl_approx == kl_divergence_approx(cfg, m, rho)
+            assert kl_approx == kl_divergence_approx(cfg, m)
             assert lb == pinsker_lower_bound(kl)
 
     def test_minimum_is_first_minimum(self, scenario_curve):
