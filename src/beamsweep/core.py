@@ -217,10 +217,11 @@ def make_sweep_plan(cfg: ScenarioConfig, m: int | np.ndarray) -> SweepPlan:
     # Python's int division rounds l_total / m once for any l_total; numpy
     # would round l_total to a double first.
     l_sector = np.array([cfg.l_total / k for k in m.ravel().tolist()], dtype=float)
-    # A Python float for one m, so phi_w is one too, and its overflow gives inf
-    # without a numpy warning.
-    gain = scalar_or_array(2.0 * as_floats(m) / cfg.theta_t)
-    phi_w = cfg.pa_watt * path_loss(cfg) * gain / cfg.noise_watt
+    # A Python float for one m, so phi_w is one too. An overflow gives inf,
+    # which the check below names, without a numpy warning ahead of it.
+    with np.errstate(over="ignore"):
+        gain = scalar_or_array(2.0 * as_floats(m) / cfg.theta_t)
+        phi_w = cfg.pa_watt * path_loss(cfg) * gain / cfg.noise_watt
     require(finite_nonnegative(phi_w), "phi_w must be finite and >= 0, got {}", phi_w)
     return SweepPlan(scalar_or_array(m), scalar_or_array(l_sector.reshape(m.shape)), phi_w)
 

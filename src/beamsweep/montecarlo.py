@@ -19,12 +19,18 @@ trial does not depend on the trial count. The bytes are stable for a fixed
 numpy version; numpy may change its Generator streams between versions
 (NEP 19).
 
+A stream's draws depend on (l_s, seed, trials) and the hypothesis alone;
+phi_w only scales the H1 draws. So the cells of one ``estimate_cells`` call
+that share (l_s, seed, trials) are counted from one draw of each
+hypothesis' stream (common random numbers), each against its own threshold,
+and every cell gets the counts, and so the bytes, it gets alone.
+
 The streams share no state (Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3", SC 2011), so ``estimate_cells`` runs every (cell, hypothesis)
-stream of a call concurrently, one thread per usable CPU: numpy draws and
-compares without holding the GIL. Each stream's event count is gathered by
-its position in the call, so the bytes do not depend on the number of CPUs
-or on the order in which the threads finish.
+as 1, 2, 3", SC 2011), so ``estimate_cells`` runs every distinct stream of a
+call concurrently, one thread per usable CPU: numpy draws and compares
+without holding the GIL. Each stream's event counts are gathered by its
+position in the call and handed back to its cells, so the bytes do not
+depend on the number of CPUs or on the order in which the threads finish.
 """
 
 from __future__ import annotations
@@ -40,8 +46,10 @@ from numpy.random import Generator, Philox
 from .core import _threshold_factors
 
 _CI_Z = 1.96  # 95% Wilson score interval
-# Trials per chunk: 128 KB of statistics, for any l_s, so two concurrent
-# streams hold no more than one stream held at 2**16 trials.
+# Trials per chunk: 128 KB of statistics, for any l_s. A chunk is drawn once
+# and counted against every cell that shares its stream; under H1 each cell
+# scales it into a 128 KB temporary. So two concurrent streams hold no more
+# than one stream held at 2**16 trials.
 _CHUNK_TRIALS = 1 << 14
 # Fixed odd increment for the single reseeded retry, so retries reproduce too.
 RETRY_SEED_STEP = 0x9E3779B97F4A7C15
@@ -83,28 +91,22 @@ def retry_seed(seed: int) -> int:
 
 def _simulate_batch(
     l_s: int,
-    phi_w: float,
     under_h1: bool,
     seed: int,
     trials: int,
     chunk: int = _CHUNK_TRIALS,
 ) -> Iterator[np.ndarray]:
-    """Statistics for trials [0, trials), yielded ``chunk`` trials at a time.
+    """Gamma(l_s) draws for trials [0, trials), yielded ``chunk`` trials at a time.
 
-    Trial i is draw i of the (seed, hypothesis) stream, so the concatenated
-    statistics do not depend on the chunk size. Each chunk is a fresh array,
-    and only one is held at a time.
+    These are the noise-only statistics; a cell with the signal present
+    scales them by 1 + phi_w. Trial i is draw i of the (seed, hypothesis)
+    stream, so the concatenated draws do not depend on the chunk size. Each
+    chunk is a fresh array, and only one is held at a time.
     """
     key = np.array([seed, 1 if under_h1 else 0], dtype=np.uint64)
     rng = Generator(Philox(key=key))
     for start in range(0, trials, chunk):
-        stats = rng.standard_gamma(float(l_s), size=min(chunk, trials - start))
-        if under_h1:
-            # Near the float limit of phi_w a statistic overflows to inf, which
-            # still compares above any finite threshold.
-            with np.errstate(over="ignore"):
-                stats *= 1.0 + phi_w
-        yield stats
+        yield rng.standard_gamma(float(l_s), size=min(chunk, trials - start))
 
 
 def _wilson_halfwidth(p_hat: float, n: int) -> float:
@@ -138,18 +140,29 @@ def _threshold(phi_w: float, l_s: int) -> float:
     return l_s * _threshold_factors(math.log1p(phi_w), phi_w)[0]
 
 
-def _count_events(job: tuple[int, float, bool, int, int, float]) -> int:
-    """Trials of one (cell, hypothesis) stream that end in a decision error.
+def _count_events(job: tuple[int, bool, int, int, list[tuple[float, float]]]) -> list[int]:
+    """Trials of one stream that end in a decision error, for each cell it serves.
 
-    A false alarm under H0 is a statistic above the threshold, a miss under
-    H1 one at or below it. Only the count is kept, so memory stays bounded
-    in the trials.
+    The job is (l_s, under_h1, seed, trials, members), with the (phi_w,
+    threshold) of each cell that shares the stream. Each chunk is drawn once
+    and counted against every member: a false alarm under H0 is a statistic
+    above the threshold, a miss under H1 a scaled statistic at or below it.
+    Only the counts are kept, so memory stays bounded in the trials.
     """
-    l_s, phi_w, under_h1, seed, trials, threshold = job
-    batches = _simulate_batch(l_s, phi_w, under_h1, seed, trials)
-    if under_h1:
-        return sum(np.count_nonzero(stats <= threshold) for stats in batches)
-    return sum(np.count_nonzero(stats > threshold) for stats in batches)
+    l_s, under_h1, seed, trials, members = job
+    counts = [0] * len(members)
+    # Near the float limit of phi_w a scaled statistic overflows to inf, which
+    # still compares above any finite threshold.
+    with np.errstate(over="ignore"):
+        for stats in _simulate_batch(l_s, under_h1, seed, trials):
+            for k, (phi_w, threshold) in enumerate(members):
+                if under_h1:
+                    # The chunk is shared, so each cell scales a temporary: the
+                    # same product as scaling the chunk in place.
+                    counts[k] += np.count_nonzero(stats * (1.0 + phi_w) <= threshold)
+                else:
+                    counts[k] += np.count_nonzero(stats > threshold)
+    return counts
 
 
 def _estimate(false_alarms: int, misses: int, trials: int) -> McEstimate:
@@ -168,30 +181,40 @@ def _estimate(false_alarms: int, misses: int, trials: int) -> McEstimate:
 def estimate_cells(cells: Sequence[tuple[float, McConfig]]) -> list[McEstimate]:
     """``estimate_errors`` of each (phi_w, mc) cell, in the order given.
 
-    Every cell is checked before any stream starts. Then the 2 * len(cells)
-    (cell, hypothesis) streams run on a thread pool opened for this call,
-    with one worker per usable CPU and no more workers than streams. The
-    first stream to fail, in cell order, raises here as it would from a
-    loop over the cells; the streams not yet started are cancelled, and no
-    pool thread outlives the call.
+    Every cell is checked before any stream starts. The cells that share
+    (l_s, seed, trials) share their two streams, so each distinct (l_s,
+    seed, trials, hypothesis) stream is one job, ordered by its first cell.
+    The jobs run on a thread pool opened for this call, with one worker per
+    usable CPU and no more workers than jobs. The first job to fail, in
+    cell order, raises here as it would from a loop over the cells; the
+    jobs not yet started are cancelled, and no pool thread outlives the
+    call.
     """
-    jobs = []
-    for phi_w, mc in cells:
+    # Each stream's key, with the (slot, phi_w, threshold) of every cell it
+    # serves; slot 2i holds cell i's false alarms, slot 2i + 1 its misses.
+    streams: dict[tuple[int, bool, int, int], list[tuple[int, float, float]]] = {}
+    for index, (phi_w, mc) in enumerate(cells):
         threshold = _threshold(phi_w, mc.l_sector_int)
-        jobs += [
-            (mc.l_sector_int, phi_w, under_h1, mc.seed, mc.trials, threshold)
-            for under_h1 in (False, True)
-        ]
-    if not jobs:
+        for under_h1 in (False, True):
+            key = (mc.l_sector_int, under_h1, mc.seed, mc.trials)
+            streams.setdefault(key, []).append((2 * index + under_h1, phi_w, threshold))
+    if not streams:
         return []
+    jobs = [
+        (*key, [(phi_w, threshold) for _, phi_w, threshold in members])
+        for key, members in streams.items()
+    ]
     # Imported here, so that the commands that run no Monte Carlo do not pay
     # for the thread pool module and its queue (about 0.5 ms and 0.2 MB).
     from concurrent.futures import ThreadPoolExecutor
 
+    counts = [0] * (2 * len(cells))
     pool = ThreadPoolExecutor(max_workers=min(len(jobs), _usable_cpus()))
     try:
         # map yields the counts in job order, whichever thread finishes first.
-        counts = list(pool.map(_count_events, jobs))
+        for members, job_counts in zip(streams.values(), pool.map(_count_events, jobs)):
+            for (slot, _, _), count in zip(members, job_counts):
+                counts[slot] = count
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
     return [

@@ -1,10 +1,11 @@
 """Exhaustive search for the sector count that minimizes the detection error.
 
-The feasible range [1, m_max] is at most a few thousand integers and the
-error curve is only empirically unimodal, so every candidate is evaluated
-rather than trusting a bracketing search. The whole curve is one array
-evaluation of the closed forms, ``analyze_scenario`` over every sector count,
-and its element at m equals ``analyze_scenario`` at that sector count alone.
+The error curve over the feasible range [1, m_max] is only empirically
+unimodal, so every candidate is evaluated rather than trusting a bracketing
+search. m_max grows with the array (549,033 on fig3 with 2**20 antennas),
+and the whole curve is one array evaluation of the closed forms,
+``analyze_scenario`` over every sector count, held in memory at once; its
+element at m equals ``analyze_scenario`` at that sector count alone.
 """
 
 from __future__ import annotations

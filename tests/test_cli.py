@@ -438,6 +438,27 @@ class TestValidateConcurrency:
         assert one[2] == 1 and 1 <= three[2] <= 2
         assert probe["calls"] == 8  # two rounds of two streams, twice
 
+    def test_default_grid_draws_each_stream_once(self, tmp_path, probe):
+        # Nine cells over three dwells: one stream per (l_s, hypothesis).
+        assert main(["validate", "--out", str(tmp_path / "v.csv")]) == 0
+        assert probe["calls"] == 6
+
+    def test_cells_sharing_a_dwell_write_their_one_cell_bytes(self, tmp_path, capsys, probe):
+        # 32 // 11 == 32 // 12 == 2, at two different phi_w.
+        def run(m):
+            out = tmp_path / f"m{m}.csv"
+            code = main(["validate", "--config", FIG3_CFG, "--set", f"m={m}", "--out", str(out)])
+            return code, out.read_text().splitlines(), capsys.readouterr().err
+
+        code, lines, err = run("11,12")
+        assert code == 0 and probe["calls"] == 2
+        (code11, (header, row11), err11), (code12, (_, row12), err12) = run(11), run(12)
+        assert (code11, code12) == (0, 0)
+        assert row11.split(",")[:2] != row12.split(",")[:2]
+        assert row11.startswith("2,") and row12.startswith("2,")
+        assert lines == [header, row11, row12]
+        assert err == err11 + err12
+
     @pytest.mark.parametrize(
         "argv, message",
         [

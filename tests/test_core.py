@@ -172,6 +172,15 @@ class TestLinkBudget:
             make_sweep_plan(cfg, [1, bad, cfg.m_max + 1])
         assert str(info.value) == f"sector count m={bad} outside the feasible range [1, 67]"
 
+    @pytest.mark.parametrize("m", [67, np.arange(1, 68)], ids=["scalar", "array"])
+    def test_overflowing_snr_raises_its_check_not_a_warning(self, m):
+        # Outside np.errstate, with the suite's warnings as errors: an
+        # overflow warning ahead of the check would be what the call raises.
+        cfg = default_config(pa_watt=1e308, noise_watt=1e-20)
+        with pytest.raises(ValueError) as info:
+            make_sweep_plan(cfg, m)
+        assert str(info.value) == "phi_w must be finite and >= 0, got inf"
+
     def test_vanishing_power_keeps_threshold_finite(self):
         cfg = default_config(pa_watt=1e-300)
         plan = make_sweep_plan(cfg, 4)

@@ -23,9 +23,14 @@ from beamsweep.montecarlo import (
 Z = 1.96
 
 
-def simulate(*args, **kwargs):
-    """All statistics of one batch, its chunks joined."""
-    return np.concatenate(list(_simulate_batch(*args, **kwargs)))
+def simulate(l_s, phi_w, under_h1, seed, trials, chunk=montecarlo._CHUNK_TRIALS):
+    """All statistics of one (cell, hypothesis), its chunks joined.
+
+    Under H1 the draws are scaled by 1 + phi_w with the product the
+    per-stream counter compares.
+    """
+    draws = np.concatenate(list(_simulate_batch(l_s, under_h1, seed, trials, chunk)))
+    return draws * (1.0 + phi_w) if under_h1 else draws
 
 
 def wilson_halfwidth(p_hat, n):
@@ -278,3 +283,91 @@ class TestConcurrentStreams:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         assert montecarlo._usable_cpus() == expected
+
+
+class TestSharedStreams:
+    """Cells that share (l_s, seed, trials) are counted from one draw per hypothesis."""
+
+    FLOAT_MAX = sys.float_info.max
+
+    @staticmethod
+    def cell(phi_w, l_s=4, seed=1, trials=3000):
+        return phi_w, McConfig(trials=trials, seed=seed, l_sector_int=l_s)
+
+    def shared_cells(self):
+        return [
+            # One (l_s, seed, trials) over several phi_w; at the float limit
+            # every scaled H1 statistic overflows to inf.
+            *(self.cell(phi_w) for phi_w in (0.1, 1.0, 10.0, 1e308, self.FLOAT_MAX)),
+            # A duplicated cell, ahead of and behind another stream.
+            self.cell(1.0, l_s=16), self.cell(1.0, l_s=16), self.cell(1.0),
+            # The same cell at another trial count or seed shares nothing.
+            self.cell(1.0, trials=2999), self.cell(1.0, seed=2),
+        ]
+
+    def test_cells_match_one_cell_calls(self):
+        cells = self.shared_cells()
+        assert estimate_cells(cells) == [estimate_errors(*cell) for cell in cells]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_counts_do_not_depend_on_the_workers(self, monkeypatch, cpus):
+        cells = self.shared_cells()
+        expected = [estimate_errors(*cell) for cell in cells]
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert estimate_cells(cells) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+
+    def test_one_job_per_distinct_stream(self, monkeypatch):
+        count_events = montecarlo._count_events
+        jobs = []
+
+        def counter(job):
+            jobs.append(job)
+            return count_events(job)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(montecarlo, "_count_events", counter)
+        estimate_cells(self.shared_cells())
+        keys = [job[:4] for job in jobs]
+        # (l_s, under_h1, seed, trials), in the order of each stream's first cell.
+        assert keys == [
+            (l_s, under_h1, seed, trials)
+            for l_s, seed, trials in [(4, 1, 3000), (16, 1, 3000), (4, 1, 2999), (4, 2, 3000)]
+            for under_h1 in (False, True)
+        ]
+        phis = [[phi_w for phi_w, _ in job[4]] for job in jobs]
+        assert phis[0] == phis[1] == [0.1, 1.0, 10.0, 1e308, self.FLOAT_MAX, 1.0]
+        assert phis[2] == phis[3] == [1.0, 1.0]
+        assert phis[4:] == [[1.0]] * 4
+
+    def test_counts_are_the_events_of_each_cells_statistics(self):
+        l_s, seed, trials = 2, 9, 20_001
+        phis = (0.2, 1.0, 3.0, self.FLOAT_MAX)
+        estimates = estimate_cells([self.cell(phi_w, l_s, seed, trials) for phi_w in phis])
+        for phi_w, est in zip(phis, estimates):
+            threshold = montecarlo._threshold(phi_w, l_s)
+            with np.errstate(over="ignore"):
+                h1 = simulate(l_s, phi_w, True, seed=seed, trials=trials)
+            h0 = simulate(l_s, phi_w, False, seed=seed, trials=trials)
+            assert est.alpha_hat == np.count_nonzero(h0 > threshold) / trials
+            assert est.beta_hat == np.count_nonzero(h1 <= threshold) / trials
+        assert estimates[-1].beta_hat == 0.0  # every scaled statistic is inf
+
+    def test_peak_memory_bounded_with_shared_streams(self):
+        # 9 cells over 3 (l_s, seed, trials), 61 chunks per stream: within
+        # the bound of test_estimate_memory_bounded_in_trials.
+        cells = [self.cell(phi_w, l_s, trials=1_000_000)
+                 for l_s in (1, 4, 16) for phi_w in (0.1, 1.0, 10.0)]
+        tracemalloc.start()
+        try:
+            estimate_cells(cells)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
