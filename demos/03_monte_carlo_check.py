@@ -12,15 +12,16 @@ dwell l_s share its two trial streams, so the nine cells draw six streams.
 Run: python demos/03_monte_carlo_check.py
 """
 
-from beamsweep import McConfig, estimate_cells, estimate_errors, false_alarm, miss_detection
+from beamsweep import McConfig, estimate_cells, false_alarm, miss_detection
 
 TRIALS = 200_000
 SEED = 2024
 
+# A cell is (l_s, phi_w), in the closed forms' argument order; one McConfig
+# gives every cell of the call its trials and seed.
 grid = [(l_s, phi_w) for l_s in (1, 4, 16) for phi_w in (0.1, 1.0, 10.0)]
-estimates = estimate_cells(
-    [(phi_w, McConfig(trials=TRIALS, seed=SEED, l_sector_int=l_s)) for l_s, phi_w in grid]
-)
+mc = McConfig(trials=TRIALS, seed=SEED)
+estimates = estimate_cells(grid, mc)
 
 print(f"{TRIALS} trials per hypothesis, seed {SEED}")
 print()
@@ -35,9 +36,9 @@ for (l_s, phi_w), est in zip(grid, estimates):
     )
 
 print()
-est_a = estimate_errors(1.0, McConfig(trials=TRIALS, seed=SEED, l_sector_int=4))
-est_b = estimate_errors(1.0, McConfig(trials=TRIALS, seed=SEED, l_sector_int=4))
+(est_a,) = estimate_cells([(4, 1.0)], mc)
+(est_b,) = estimate_cells([(4, 1.0)], mc)
 print(f"rerun with the same seed is bit-identical: {est_a == est_b}")
 
-est_c = estimate_errors(1.0, McConfig(trials=TRIALS, seed=SEED + 1, l_sector_int=4))
+(est_c,) = estimate_cells([(4, 1.0)], McConfig(trials=TRIALS, seed=SEED + 1))
 print(f"a different seed moves the estimates:      {est_a != est_c}")

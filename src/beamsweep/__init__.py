@@ -31,7 +31,6 @@ from .montecarlo import (
     McConfig,
     McEstimate,
     estimate_cells,
-    estimate_errors,
     retry_seed,
 )
 from .optimizer import SweepCurve, sweep_sectors
@@ -50,7 +49,6 @@ __all__ = [
     "analyze_scenario",
     "dbm_to_watt",
     "estimate_cells",
-    "estimate_errors",
     "false_alarm",
     "fig2_config",
     "fig3_config",

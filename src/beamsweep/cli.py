@@ -16,8 +16,8 @@ dump, value formatting) lives in ``presets``. Each CSV column of a curve or
 an ``analyze`` row is the ``DetectionAnalysis`` field of the same name, read
 as one column of the curve's (or the point's) analysis, and one printf
 format built from the header writes every such row.
-Exit codes: 0 success, 1 validation or parse failure, 2 numerical
-convergence failure, 3 Monte Carlo validation failure.
+Exit codes: 0 success, 1 validation, parse or out-of-memory failure, 2
+numerical convergence failure, 3 Monte Carlo validation failure.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import argparse
 import functools
 import os
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -106,35 +106,39 @@ def _parse_list(key: str, text: str, as_int: bool) -> list[float] | list[int]:
     return [parse_scalar(key, piece, as_int, where="--set") for piece in items]
 
 
-def _write_atomic(path: str, text: str) -> None:
-    # A temp file under a unique name in the target directory, so concurrent
-    # runs writing the same output never share one and the final rename stays
-    # atomic. os.open applies the process umask to 0o666, which gives the
-    # file the permissions open() would, without reading the umask.
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f"{name}.{os.urandom(8).hex()}.tmp")
+def _write_atomic(outputs: Iterable[tuple[str, str]]) -> None:
+    # All outputs or none: each text goes to a temp file under a unique name
+    # in its target's directory, and none is renamed before the last is
+    # staged. The texts may come from a generator, so one is held at a time.
+    # Unique names keep concurrent runs apart and the renames atomic. os.open
+    # applies the process umask to 0o666, which gives the files the
+    # permissions open() would, without reading the umask.
+    staged: list[tuple[str, str]] = []  # (temp file, target), not yet renamed
+    tmp = path = ""
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
+        for path, text in outputs:
+            directory, name = os.path.split(path)
+            tmp = os.path.join(directory, f"{name}.{os.urandom(8).hex()}.tmp")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, path))
             with open(fd, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
+        while staged:
+            tmp, path = staged[0]
             os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+            del staged[0]
     except OSError as exc:
         if exc.filename != tmp:
             raise
         # The temp name is random and not one the user gave: name the target.
         raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        for tmp, _ in staged:
+            os.unlink(tmp)
 
 
 def _text(lines: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
-
-
-def _csv(header: str, rows: Iterable[Sequence]) -> str:
-    return _text([header, *(",".join(map(format_value, row)) for row in rows)])
 
 
 def _record_rows(columns: str, analysis: DetectionAnalysis) -> list[str]:
@@ -191,7 +195,7 @@ def _run_analyze(args: argparse.Namespace, raw: dict[str, str]) -> int:
     out = _require_out(args)
     result = analyze_scenario(cfg, m)
     (row,) = _record_rows(_ANALYZE_COLUMNS, result)
-    _write_atomic(out, _text([ANALYZE_HEADER, f"{row},{format_value(result.pinsker_vacuous)}"]))
+    _write_atomic([(out, _text([ANALYZE_HEADER, f"{row},{format_value(result.pinsker_vacuous)}"]))])
     return EXIT_OK
 
 
@@ -201,7 +205,7 @@ def _run_curve(args: argparse.Namespace, raw: dict[str, str]) -> int:
     _reject_unknown(raw)
     out = _require_out(args)
     curve = sweep_sectors(cfg)
-    _write_atomic(out, _curve_text(curve, with_minimizer=args.command == "optimize"))
+    _write_atomic([(out, _curve_text(curve, with_minimizer=args.command == "optimize"))])
     if args.command == "optimize":
         print(f"m_star={curve.m_star} xi_star={format_value(curve.xi_star)}")
     return EXIT_OK
@@ -260,39 +264,32 @@ def _run_validate(args: argparse.Namespace, raw: dict[str, str]) -> int:
     _reject_unknown(raw)
     out = _require_out(args)
 
-    # Every check runs, cell by cell, before any Monte Carlo stream starts:
-    # false_alarm, miss_detection and McConfig here, then estimate_cells'
-    # check of phi_w, which holds wherever false_alarm's did.
-    closed_forms, first_round = [], []
-    for l_s, phi_w in cells:
-        closed_forms.append((false_alarm(float(l_s), phi_w), miss_detection(float(l_s), phi_w)))
-        first_round.append((phi_w, McConfig(trials=args.trials, seed=args.seed, l_sector_int=l_s)))
-    estimates = estimate_cells(first_round)
+    # Every check runs before any Monte Carlo stream starts: the run
+    # parameters, then false_alarm and miss_detection cell by cell, then
+    # estimate_cells' check of phi_w, which holds wherever false_alarm's did.
+    mc = McConfig(trials=args.trials, seed=args.seed)
+    closed_forms = [(false_alarm(l_s, phi_w), miss_detection(l_s, phi_w)) for l_s, phi_w in cells]
+    estimates = estimate_cells(cells, mc)
     # One reseeded rerun of each failing cell before declaring a defect; the
-    # retry seed is a fixed function of the original so reruns stay
-    # reproducible.
+    # retry seed is a fixed function of the original, so reruns reproduce.
     failing = [i for i, est in enumerate(estimates) if not _confirms(est, *closed_forms[i])]
     retry = retry_seed(args.seed)
-    second_round = [
-        (cells[i][1], McConfig(trials=args.trials, seed=retry, l_sector_int=cells[i][0]))
-        for i in failing
-    ]
-    for i, est in zip(failing, estimate_cells(second_round)):
+    retried = estimate_cells([cells[i] for i in failing], McConfig(trials=args.trials, seed=retry))
+    for i, est in zip(failing, retried):
         estimates[i] = est
 
-    rows, all_pass = [], True
+    lines, all_pass = [VALIDATE_HEADER], True
     for i, ((l_s, phi_w), (alpha, beta), est) in enumerate(zip(cells, closed_forms, estimates)):
-        retried = i in failing
         ok = _confirms(est, alpha, beta)
         all_pass = all_pass and ok
-        # In VALIDATE_HEADER order.
-        rows.append([
-            l_s, phi_w, args.trials, retry if retried else args.seed, retried,
+        row = (  # in VALIDATE_HEADER order
+            l_s, phi_w, args.trials, retry if i in failing else args.seed, i in failing,
             alpha, est.alpha_hat, est.ci_halfwidth_alpha,
             beta, est.beta_hat, est.ci_halfwidth_beta,
-            alpha + beta, est.xi_hat, ok,
-        ])
-    _write_atomic(out, _csv(VALIDATE_HEADER, rows))
+            alpha + beta, est.alpha_hat + est.beta_hat, ok,
+        )
+        lines.append(",".join(map(format_value, row)))
+    _write_atomic([(out, _text(lines))])
     return EXIT_OK if all_pass else EXIT_MC_FAIL
 
 
@@ -308,16 +305,23 @@ def _run_repro(args: argparse.Namespace, raw: dict[str, str]) -> int:
     _reject_unknown(raw)
 
     # Every scenario is built, and so checked, before any file is written.
-    scenarios = [build_scenario({**base, sweep_key: value}) for value in sweep_values]
+    configs = [build_scenario({**base, sweep_key: value}) for value in sweep_values]
+    # The exact value, so sweep values that agree to a few digits never share a file name.
+    paths = [os.path.join(out_dir, f"{args.preset}_{sweep_key}_{format_value(value)}.csv")
+             for value in sweep_values]
+    created = []  # the directories this run makes, innermost first
+    head = os.path.abspath(out_dir)
+    while not os.path.isdir(head):
+        created.append(head)
+        head = os.path.dirname(head)
     os.makedirs(out_dir, exist_ok=True)
-    for value, cfg in zip(sweep_values, scenarios):
-        curve = sweep_sectors(cfg)
-        # The exact value, so sweep values that agree to a few digits never
-        # share a file name.
-        name = f"{args.preset}_{sweep_key}_{format_value(value)}.csv"
-        path = os.path.join(out_dir, name)
-        _write_atomic(path, _curve_text(curve))
-        print(path)
+    try:
+        _write_atomic((path, _curve_text(sweep_sectors(cfg))) for path, cfg in zip(paths, configs))
+    except BaseException:
+        for directory in created:
+            os.rmdir(directory)
+        raise
+    print("\n".join(paths))
     return EXIT_OK
 
 
@@ -394,6 +398,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -20,7 +20,7 @@ from beamsweep.analysis import (
 )
 from beamsweep.cli import main
 from beamsweep.core import ScenarioConfig, make_sweep_plan, path_loss
-from beamsweep.montecarlo import McConfig, estimate_errors, retry_seed
+from beamsweep.montecarlo import McConfig, estimate_cells, retry_seed
 from beamsweep.optimizer import sweep_sectors
 from beamsweep.presets import fig2_config, fig3_config
 
@@ -79,12 +79,10 @@ def test_criterion_04_oracle_equivalence():
                     and abs(est.beta_hat - beta) <= 3.0 * est.ci_halfwidth_beta
                 )
 
-            est = estimate_errors(phi, McConfig(trials=trials, seed=seed, l_sector_int=l_s))
+            est = estimate_cells([(l_s, phi)], McConfig(trials=trials, seed=seed))[0]
             ok = cell_ok(est)
             if not ok:
-                est = estimate_errors(
-                    phi, McConfig(trials=trials, seed=retry_seed(seed), l_sector_int=l_s)
-                )
+                est = estimate_cells([(l_s, phi)], McConfig(trials=trials, seed=retry_seed(seed)))[0]
                 ok = cell_ok(est)
             if not ok:
                 failures.append((l_s, phi))

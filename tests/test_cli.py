@@ -459,17 +459,49 @@ class TestValidateConcurrency:
         assert lines == [header, row11, row12]
         assert err == err11 + err12
 
+    def test_retry_is_one_call_over_the_failing_cells(self, tmp_path, monkeypatch, probe):
+        # Only the l_s = 1 cells fail, both rounds: the retry round reruns
+        # those two cells, at the retry seed, in one call.
+        false_alarm = cli.false_alarm
+        monkeypatch.setattr(
+            cli, "false_alarm", lambda l_s, phi_w: 0.35 if l_s == 1 else false_alarm(l_s, phi_w)
+        )
+        estimate_cells = cli.estimate_cells
+        calls = []
+
+        def recorder(cells, mc):
+            calls.append((list(cells), mc))
+            return estimate_cells(cells, mc)
+
+        monkeypatch.setattr(cli, "estimate_cells", recorder)
+        out = tmp_path / "v.csv"
+        argv = ["--set", "l_s=1,4", "--set", "phi_w=1,2", "--trials", "10000", "--seed", "5"]
+        assert main(["validate", *argv, "--out", str(out)]) == 3
+        cells = [(1, 1.0), (1, 2.0), (4, 1.0), (4, 2.0)]
+        assert calls == [
+            (cells, montecarlo.McConfig(trials=10000, seed=5)),
+            (cells[:2], montecarlo.McConfig(trials=10000, seed=montecarlo.retry_seed(5))),
+        ]
+        assert probe["calls"] == 4 + 2  # two dwells, then one
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(row[3], row[4], row[-1]) for row in rows] == [
+            (str(montecarlo.retry_seed(5)), "true", "false")
+        ] * 2 + [("5", "false", "true")] * 2
+
     @pytest.mark.parametrize(
         "argv, message",
         [
             # The second cell fails a closed-form check.
             (["--set", "l_s=1,0", "--set", "phi_w=1"], "l_s must be finite and > 0, got 0.0"),
             (["--set", "l_s=4", "--set", "phi_w=1,-1"], "phi_w must be finite and > 0, got -1.0"),
-            # The first cell's McConfig fails before the second cell is checked.
+            # The run parameters fail before any cell is checked, even a
+            # cell that fails its own check.
             (["--set", "l_s=4,0", "--set", "phi_w=1", "--trials", "0"],
              "trials must be >= 1, got 0"),
             (["--set", "l_s=4,0", "--set", "phi_w=1", "--seed", "-1"],
              "seed must be a 64-bit unsigned integer, got -1"),
+            (["--set", "l_s=0", "--set", "phi_w=1", "--trials", "0"],
+             "trials must be >= 1, got 0"),
         ],
     )
     def test_checks_run_before_any_stream(self, tmp_path, capsys, probe, argv, message):
@@ -532,6 +564,48 @@ class TestReproCommand:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: l_total must be >= 1, got 0\n")
         assert list(tmp_path.iterdir()) == []
+
+    # phi_w overflows from noise_dbm=-3200 on, so the second curve fails in
+    # its sweep, after the first has been computed and staged.
+    FAILING_SECOND_CURVE = ["--set", "noise_dbm=-50,-3200"]
+
+    @pytest.mark.parametrize("out", ["d", "a/b/d"])
+    def test_failing_curve_writes_no_curve(self, tmp_path, capsys, out):
+        out_dir = tmp_path / out
+        assert main(["repro", "fig2", "--out", str(out_dir), *self.FAILING_SECOND_CURVE]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: phi_w must be finite and >= 0, got inf\n"
+        )
+        # Neither the staged first curve nor a directory the run made is left.
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_curve_keeps_an_existing_directory_as_it_was(self, tmp_path, capsys):
+        out_dir = tmp_path / "d"
+        out_dir.mkdir()
+        (out_dir / "fig2_noise_dbm_-50.csv").write_text("earlier\n")
+        assert main(["repro", "fig2", "--out", str(out_dir), *self.FAILING_SECOND_CURVE]) == 1
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in tmp_path.rglob("*")] == ["d", "fig2_noise_dbm_-50.csv"]
+        assert (out_dir / "fig2_noise_dbm_-50.csv").read_text() == "earlier\n"
+
+    def test_curves_are_written_one_at_a_time(self, tmp_path, monkeypatch):
+        # Each curve is staged in a temp file before the next is computed, so
+        # one curve is held at a time, and none is renamed into place before
+        # the last is staged.
+        sweep_sectors = cli.sweep_sectors
+        out_dir = tmp_path / "d"
+        seen = []
+
+        def sweep(cfg):
+            seen.append(sorted(path.suffix for path in out_dir.iterdir()))
+            return sweep_sectors(cfg)
+
+        monkeypatch.setattr(cli, "sweep_sectors", sweep)
+        argv = ["repro", "fig2", "--out", str(out_dir), "--set", "noise_dbm=-50,-60,-70"]
+        assert main(argv) == 0
+        assert seen == [[], [".tmp"], [".tmp", ".tmp"]]
+        assert len(os.listdir(out_dir)) == 3
 
 
 class TestRecordRows:
@@ -704,7 +778,7 @@ class TestWriteAtomic:
 
     def test_target_in_current_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        cli._write_atomic("out.csv", "a,b\n")
+        cli._write_atomic([("out.csv", "a,b\n")])
         assert (tmp_path / "out.csv").read_text() == "a,b\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -714,7 +788,7 @@ class TestWriteAtomic:
 
         monkeypatch.setattr(cli.os, "replace", refuse)
         with pytest.raises(OSError, match="synthetic"):
-            cli._write_atomic(str(tmp_path / "out.csv"), "a,b\n")
+            cli._write_atomic([(str(tmp_path / "out.csv"), "a,b\n")])
         assert list(tmp_path.iterdir()) == []
 
     def test_mode_follows_the_umask_without_reading_it(self, tmp_path, monkeypatch):
@@ -725,7 +799,7 @@ class TestWriteAtomic:
         saved = os.umask(0o027)
         try:
             monkeypatch.setattr(cli.os, "umask", refuse)
-            cli._write_atomic(str(out), "a,b\n")
+            cli._write_atomic([(str(out), "a,b\n")])
         finally:
             monkeypatch.undo()
             os.umask(saved)
@@ -760,7 +834,7 @@ class TestWriteAtomic:
         def write(text):
             try:
                 for _ in range(50):
-                    cli._write_atomic(out, text)
+                    cli._write_atomic([(out, text)])
             except OSError as exc:
                 errors.append(exc)
 
@@ -916,6 +990,24 @@ class TestExitCodes:
 
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    def test_memory_error_maps_to_one(self, tmp_path, monkeypatch, capsys):
+        # As numpy raises it for a curve too large to allocate, without
+        # allocating anything here.
+        def allocate(cfg):
+            raise MemoryError("Unable to allocate 3.81 TiB for an array with shape "
+                              "(523598775598,) and data type int64")
+
+        monkeypatch.setattr(cli, "sweep_sectors", allocate)
+        out = str(tmp_path / "x.csv")
+        argv = ["optimize", "--config", FIG3_CFG, "--set", "n_antennas=1000000000000"]
+        assert main([*argv, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            "error: Unable to allocate 3.81 TiB for an array with shape (523598775598,) "
+            "and data type int64\n"
+        ))
+        assert not os.path.exists(out)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -16,7 +17,6 @@ from beamsweep.montecarlo import (
     McEstimate,
     _simulate_batch,
     estimate_cells,
-    estimate_errors,
     retry_seed,
 )
 
@@ -29,7 +29,7 @@ def simulate(l_s, phi_w, under_h1, seed, trials, chunk=montecarlo._CHUNK_TRIALS)
     Under H1 the draws are scaled by 1 + phi_w with the product the
     per-stream counter compares.
     """
-    draws = np.concatenate(list(_simulate_batch(l_s, under_h1, seed, trials, chunk)))
+    draws = np.concatenate(list(_simulate_batch(l_s, under_h1, McConfig(trials, seed), chunk)))
     return draws * (1.0 + phi_w) if under_h1 else draws
 
 
@@ -37,23 +37,27 @@ def wilson_halfwidth(p_hat, n):
     return Z / (1 + Z * Z / n) * math.sqrt(p_hat * (1 - p_hat) / n + Z * Z / (4 * n * n))
 
 
+def estimate_one(l_s, phi_w, mc):
+    """The estimate of one (l_s, phi_w) cell: a one-cell ``estimate_cells`` call."""
+    (estimate,) = estimate_cells([(l_s, phi_w)], mc)
+    return estimate
+
+
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
-        with pytest.raises(ValueError):
-            McConfig(trials=0, seed=1, l_sector_int=1)
-        with pytest.raises(ValueError):
-            McConfig(trials=10, seed=-1, l_sector_int=1)
-        with pytest.raises(ValueError):
-            McConfig(trials=10, seed=2 ** 64, l_sector_int=1)
-        with pytest.raises(ValueError):
-            McConfig(trials=10, seed=1, l_sector_int=0)
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            McConfig(trials=0, seed=1)
+        with pytest.raises(ValueError, match="seed must be a 64-bit unsigned integer, got -1"):
+            McConfig(trials=10, seed=-1)
+        with pytest.raises(ValueError, match="seed must be a 64-bit"):
+            McConfig(trials=10, seed=2 ** 64)
 
     def test_estimate_rejects_nonpositive_snr(self):
-        mc = McConfig(trials=10, seed=1, l_sector_int=2)
+        mc = McConfig(trials=10, seed=1)
         with pytest.raises(ValueError):
-            estimate_errors(0.0, mc)
+            estimate_one(2, 0.0, mc)
         with pytest.raises(ValueError):
-            estimate_errors(-1.0, mc)
+            estimate_one(2, -1.0, mc)
 
 
 class TestStatisticDistribution:
@@ -103,8 +107,8 @@ class TestStatisticDistribution:
 
 class TestDeterminism:
     def test_estimates_repeat_exactly(self):
-        mc = McConfig(trials=20_000, seed=123, l_sector_int=4)
-        assert estimate_errors(1.0, mc) == estimate_errors(1.0, mc)
+        mc = McConfig(trials=20_000, seed=123)
+        assert estimate_one(4, 1.0, mc) == estimate_one(4, 1.0, mc)
 
     # The default chunk holds all 501 trials; chunks of 17 and 500 split them.
     @pytest.mark.parametrize("l_s", [1, 3, 5, 16, 999])
@@ -135,7 +139,7 @@ class TestDeterminism:
         # Keeping both hypotheses' full statistic arrays peaked at 64.9 MB here.
         tracemalloc.start()
         try:
-            estimate_errors(1.0, McConfig(trials=4_000_000, seed=1, l_sector_int=1))
+            estimate_one(1, 1.0, McConfig(trials=4_000_000, seed=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -145,7 +149,7 @@ class TestDeterminism:
         # A row of 2**22 samples was held whole, 33.6 MB traced.
         tracemalloc.start()
         try:
-            estimate_errors(1.0, McConfig(trials=2, seed=1, l_sector_int=1 << 22))
+            estimate_one(1 << 22, 1.0, McConfig(trials=2, seed=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -164,8 +168,7 @@ class TestDeterminism:
 
 class TestEstimates:
     def test_unit_cell_against_closed_form(self):
-        mc = McConfig(trials=1_000_000, seed=42, l_sector_int=1)
-        est = estimate_errors(1.0, mc)
+        est = estimate_one(1, 1.0, McConfig(trials=1_000_000, seed=42))
         assert isinstance(est, McEstimate)
         assert abs(est.alpha_hat - 0.25) <= 3.0 * est.ci_halfwidth_alpha
         assert abs(est.beta_hat - 0.5) <= 3.0 * est.ci_halfwidth_beta
@@ -174,25 +177,25 @@ class TestEstimates:
         assert est.ci_halfwidth_beta == pytest.approx(0.00098, rel=0.05)
 
     def test_mid_cell_against_closed_form(self):
-        mc = McConfig(trials=100_000, seed=7, l_sector_int=4)
-        est = estimate_errors(1.0, mc)
+        est = estimate_one(4, 1.0, McConfig(trials=100_000, seed=7))
         assert abs(est.alpha_hat - false_alarm(4.0, 1.0)) <= 3.0 * est.ci_halfwidth_alpha
         assert abs(est.beta_hat - miss_detection(4.0, 1.0)) <= 3.0 * est.ci_halfwidth_beta
 
     def test_degenerate_single_trial(self):
-        est = estimate_errors(1.0, McConfig(trials=1, seed=5, l_sector_int=1))
+        est = estimate_one(1, 1.0, McConfig(trials=1, seed=5))
         assert est.alpha_hat in (0.0, 1.0)
         assert est.beta_hat in (0.0, 1.0)
 
     def test_blind_detector_at_zero_snr(self):
-        est = estimate_errors(1e-9, McConfig(trials=100_000, seed=21, l_sector_int=16))
+        est = estimate_one(16, 1e-9, McConfig(trials=100_000, seed=21))
         slack = 3.0 * (est.ci_halfwidth_alpha + est.ci_halfwidth_beta)
-        assert abs(est.xi_hat - 1.0) <= slack
+        assert abs(est.alpha_hat + est.beta_hat - 1.0) <= slack
 
     def test_estimate_internal_consistency(self):
-        est = estimate_errors(2.0, McConfig(trials=5000, seed=3, l_sector_int=2))
-        assert est.xi_hat == est.alpha_hat + est.beta_hat
-        assert est.trials == 5000
+        est = estimate_one(2, 2.0, McConfig(trials=5000, seed=3))
+        # Python floats, not numpy scalars: the CSV writes them, and the pass
+        # flag compared from them, as floats and booleans.
+        assert [type(value) for value in dataclasses.astuple(est)] == [float] * 4
         assert est.ci_halfwidth_alpha == pytest.approx(
             wilson_halfwidth(est.alpha_hat, 5000), abs=1e-15
         )
@@ -211,36 +214,36 @@ class TestThreshold:
         for phi in self.PHIS:
             for l_s in self.DWELLS:
                 expected = analysis._thresholds(float(l_s), np.float64(phi))[1]
-                assert montecarlo._threshold(phi, l_s) == expected, (phi, l_s)
+                assert montecarlo._threshold(l_s, phi) == expected, (phi, l_s)
 
     @pytest.mark.parametrize("phi", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_a_snr_it_cannot_simulate(self, phi):
         with pytest.raises(ValueError, match="phi_w must be finite and > 0"):
-            montecarlo._threshold(phi, 4)
+            montecarlo._threshold(4, phi)
 
 
 class TestConcurrentStreams:
-    CELLS = [
-        (phi_w, McConfig(trials=3000, seed=seed, l_sector_int=l_s))
-        for phi_w, seed, l_s in [(0.5, 1, 1), (2.0, 1, 4), (1.0, 7, 16), (10.0, 3, 2)]
-    ]
+    CELLS = [(1, 0.5), (4, 2.0), (16, 1.0), (2, 10.0)]
+    MC = McConfig(trials=3000, seed=7)
 
     def test_cells_match_one_cell_calls(self):
-        assert estimate_cells(self.CELLS) == [estimate_errors(*cell) for cell in self.CELLS]
+        assert estimate_cells(self.CELLS, self.MC) == [
+            estimate_one(*cell, self.MC) for cell in self.CELLS
+        ]
 
     def test_no_cells_start_no_pool(self):
-        assert estimate_cells([]) == []
+        assert estimate_cells([], self.MC) == []
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_counts_do_not_depend_on_the_workers(self, monkeypatch, cpus):
-        expected = [estimate_errors(*cell) for cell in self.CELLS]
+        expected = [estimate_one(*cell, self.MC) for cell in self.CELLS]
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
         threads = threading.active_count()
         # Frequent thread switches, so a count gathered out of order shows.
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert estimate_cells(self.CELLS) == expected
+            assert estimate_cells(self.CELLS, self.MC) == expected
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
@@ -248,9 +251,11 @@ class TestConcurrentStreams:
     def test_every_cell_checked_before_any_stream(self, monkeypatch):
         started = []
         monkeypatch.setattr(montecarlo, "_count_events", started.append)
-        mc = McConfig(trials=10, seed=1, l_sector_int=2)
-        with pytest.raises(ValueError, match="got 0.0"):
-            estimate_cells([(1.0, mc), (0.0, mc)])
+        mc = McConfig(trials=10, seed=1)
+        with pytest.raises(ValueError, match="phi_w .* got 0.0"):
+            estimate_cells([(2, 1.0), (2, 0.0)], mc)
+        with pytest.raises(ValueError, match="l_s must be >= 1, got 0"):
+            estimate_cells([(2, 1.0), (0, 1.0)], mc)
         assert started == []
 
     def test_failing_stream_raises_and_cancels_the_rest(self, monkeypatch):
@@ -270,7 +275,7 @@ class TestConcurrentStreams:
         monkeypatch.setattr(montecarlo, "_count_events", counter)
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="stream failed"):
-            estimate_cells(self.CELLS)
+            estimate_cells(self.CELLS, self.MC)
         assert threading.active_count() == threads
         assert 1 <= len(started) <= 2 < 2 * len(self.CELLS)
 
@@ -286,39 +291,34 @@ class TestConcurrentStreams:
 
 
 class TestSharedStreams:
-    """Cells that share (l_s, seed, trials) are counted from one draw per hypothesis."""
+    """Cells that share l_s are counted from one draw per hypothesis."""
 
     FLOAT_MAX = sys.float_info.max
-
-    @staticmethod
-    def cell(phi_w, l_s=4, seed=1, trials=3000):
-        return phi_w, McConfig(trials=trials, seed=seed, l_sector_int=l_s)
+    MC = McConfig(trials=3000, seed=1)
 
     def shared_cells(self):
         return [
-            # One (l_s, seed, trials) over several phi_w; at the float limit
-            # every scaled H1 statistic overflows to inf.
-            *(self.cell(phi_w) for phi_w in (0.1, 1.0, 10.0, 1e308, self.FLOAT_MAX)),
+            # One l_s over several phi_w; at the float limit every scaled H1
+            # statistic overflows to inf.
+            *((4, phi_w) for phi_w in (0.1, 1.0, 10.0, 1e308, self.FLOAT_MAX)),
             # A duplicated cell, ahead of and behind another stream.
-            self.cell(1.0, l_s=16), self.cell(1.0, l_s=16), self.cell(1.0),
-            # The same cell at another trial count or seed shares nothing.
-            self.cell(1.0, trials=2999), self.cell(1.0, seed=2),
+            (16, 1.0), (16, 1.0), (4, 1.0),
         ]
 
     def test_cells_match_one_cell_calls(self):
         cells = self.shared_cells()
-        assert estimate_cells(cells) == [estimate_errors(*cell) for cell in cells]
+        assert estimate_cells(cells, self.MC) == [estimate_one(*cell, self.MC) for cell in cells]
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_counts_do_not_depend_on_the_workers(self, monkeypatch, cpus):
         cells = self.shared_cells()
-        expected = [estimate_errors(*cell) for cell in cells]
+        expected = [estimate_one(*cell, self.MC) for cell in cells]
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            assert estimate_cells(cells) == expected
+            assert estimate_cells(cells, self.MC) == expected
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
@@ -333,25 +333,26 @@ class TestSharedStreams:
 
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(montecarlo, "_count_events", counter)
-        estimate_cells(self.shared_cells())
-        keys = [job[:4] for job in jobs]
-        # (l_s, under_h1, seed, trials), in the order of each stream's first cell.
-        assert keys == [
-            (l_s, under_h1, seed, trials)
-            for l_s, seed, trials in [(4, 1, 3000), (16, 1, 3000), (4, 1, 2999), (4, 2, 3000)]
-            for under_h1 in (False, True)
+        estimate_cells(self.shared_cells(), self.MC)
+        # (l_s, under_h1) and the call's one McConfig, in the order of each
+        # stream's first cell.
+        assert [job[:3] for job in jobs] == [
+            (l_s, under_h1, self.MC) for l_s in (4, 16) for under_h1 in (False, True)
         ]
-        phis = [[phi_w for phi_w, _ in job[4]] for job in jobs]
+        # Each member's slot: 2i for cell i's false alarms, 2i + 1 its misses.
+        assert [[slot for slot, _, _ in job[3]] for job in jobs] == [
+            [0, 2, 4, 6, 8, 14], [1, 3, 5, 7, 9, 15], [10, 12], [11, 13]
+        ]
+        phis = [[phi_w for _, phi_w, _ in job[3]] for job in jobs]
         assert phis[0] == phis[1] == [0.1, 1.0, 10.0, 1e308, self.FLOAT_MAX, 1.0]
         assert phis[2] == phis[3] == [1.0, 1.0]
-        assert phis[4:] == [[1.0]] * 4
 
     def test_counts_are_the_events_of_each_cells_statistics(self):
         l_s, seed, trials = 2, 9, 20_001
         phis = (0.2, 1.0, 3.0, self.FLOAT_MAX)
-        estimates = estimate_cells([self.cell(phi_w, l_s, seed, trials) for phi_w in phis])
+        estimates = estimate_cells([(l_s, phi_w) for phi_w in phis], McConfig(trials, seed))
         for phi_w, est in zip(phis, estimates):
-            threshold = montecarlo._threshold(phi_w, l_s)
+            threshold = montecarlo._threshold(l_s, phi_w)
             with np.errstate(over="ignore"):
                 h1 = simulate(l_s, phi_w, True, seed=seed, trials=trials)
             h0 = simulate(l_s, phi_w, False, seed=seed, trials=trials)
@@ -360,13 +361,12 @@ class TestSharedStreams:
         assert estimates[-1].beta_hat == 0.0  # every scaled statistic is inf
 
     def test_peak_memory_bounded_with_shared_streams(self):
-        # 9 cells over 3 (l_s, seed, trials), 61 chunks per stream: within
-        # the bound of test_estimate_memory_bounded_in_trials.
-        cells = [self.cell(phi_w, l_s, trials=1_000_000)
-                 for l_s in (1, 4, 16) for phi_w in (0.1, 1.0, 10.0)]
+        # 9 cells over 3 dwells, 61 chunks per stream: within the bound of
+        # test_estimate_memory_bounded_in_trials.
+        cells = [(l_s, phi_w) for l_s in (1, 4, 16) for phi_w in (0.1, 1.0, 10.0)]
         tracemalloc.start()
         try:
-            estimate_cells(cells)
+            estimate_cells(cells, McConfig(trials=1_000_000, seed=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

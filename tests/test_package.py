@@ -17,14 +17,19 @@ def test_public_names_resolve_and_removed_names_are_gone():
         "make_link_budget",
         "h0_threshold_factor",
         "h1_threshold_factor",
+        "estimate_errors",
     )
     for name in removed:
         assert name not in beamsweep.__all__
         assert not hasattr(beamsweep, name)
         assert not hasattr(beamsweep.core, name)
+        assert not hasattr(beamsweep.montecarlo, name)
     assert not hasattr(beamsweep.core, "_checked_threshold_factors")
     parameters = inspect.signature(beamsweep.kl_divergence_approx).parameters
     assert list(parameters) == ["cfg", "m"]
+    # One run config per call, and cells in the closed forms' (l_s, phi_w).
+    parameters = inspect.signature(beamsweep.estimate_cells).parameters
+    assert list(parameters) == ["cells", "mc"]
 
 
 def test_fields_only_tests_read_are_gone():
@@ -32,3 +37,9 @@ def test_fields_only_tests_read_are_gone():
         return {field.name for field in dataclasses.fields(cls)}
 
     assert fields(beamsweep.SweepPlan) == {"m_sectors", "l_sector", "phi_w"}
+    # Per call, not per cell: the dwell is the cell's own l_s.
+    assert fields(beamsweep.McConfig) == {"trials", "seed"}
+    # trials echoed the input, and xi_hat is alpha_hat + beta_hat.
+    assert fields(beamsweep.McEstimate) == {
+        "alpha_hat", "beta_hat", "ci_halfwidth_alpha", "ci_halfwidth_beta"
+    }
