@@ -6,8 +6,9 @@ and miss rates should land within a few Wilson half-widths of the
 closed-form values. The trial streams are counter-based, so rerunning with
 the same seed reproduces every digit.
 
-One ``estimate_cells`` call checks the whole grid: the cells that share a
-dwell l_s share its two trial streams, so the nine cells draw six streams.
+One ``estimate_cells`` call checks the whole grid: both hypotheses count
+from the same draws, and the cells that share a dwell l_s share its one
+trial stream, so the nine cells draw three streams.
 
 Run: python demos/03_monte_carlo_check.py
 """

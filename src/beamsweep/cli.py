@@ -123,6 +123,14 @@ def _write_atomic(outputs: Iterable[tuple[str, str]]) -> None:
             staged.append((tmp, path))
             with open(fd, "w", encoding="utf-8", newline="\n") as handle:
                 handle.write(text)
+        # A rename onto a directory fails after the earlier ones landed, so
+        # every target is checked first. This narrows that window, but a
+        # directory made after the check still fails a later rename.
+        for _, path in staged:
+            if os.path.isdir(path):
+                import errno
+
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         while staged:
             tmp, path = staged[0]
             os.replace(tmp, path)

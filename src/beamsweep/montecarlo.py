@@ -12,33 +12,40 @@ therefore one ``standard_gamma`` draw (Marsaglia & Tsang, ACM TOMS 26 (2000)
 with the closed forms' H0 threshold, from the same kernel
 (``core._threshold_factors``).
 
-Determinism contract: each (seed, hypothesis) keys one counter-based (Philox)
-stream, and trial i is draw i of that stream. numpy fills arrays from a
-stream sequentially, so results are bit-identical for any chunking and a
-trial does not depend on the trial count. The bytes are stable for a fixed
-numpy version; numpy may change its Generator streams between versions
-(NEP 19).
+Determinism contract: the seed keys one counter-based (Philox) stream per
+dwell, shared by both hypotheses, cut into substreams of ``_CHUNK_TRIALS``
+trials. Chunk c covers trials [c * 2**14, (c + 1) * 2**14); its substream
+has the seed as key and c in counter word 2, which is
+``Philox(key=seed).jumped(c)``, 2**128 blocks from the next. Trial i is draw
+i mod 2**14 of chunk i // 2**14's substream. numpy fills an array from a
+substream sequentially, so a trial does not depend on the trial count, and
+no chunk depends on another. The chunk size is part of the contract, not a
+setting. The bytes are stable for a fixed numpy version; numpy may change
+its Generator streams between versions (NEP 19).
 
 A cell is (l_s, phi_w), the closed forms' coordinates, and one ``McConfig``
-(trials, seed) serves every cell of an ``estimate_cells`` call. A stream's
-draws depend on l_s and the hypothesis alone; phi_w only scales the H1
-draws. So the cells of one call that share l_s are counted from one draw of
-each hypothesis' stream (common random numbers), each against its own
-threshold, and every cell gets the counts, and so the bytes, it gets alone.
+(trials, seed) serves every cell of an ``estimate_cells`` call. The H1
+statistic is the H0 statistic scaled by 1 + phi_w, so a stream's draws
+depend on l_s alone (common random numbers): each chunk is drawn once and
+every cell of its dwell counts its false alarms and its misses from it,
+each against its own threshold. A cell gets the counts, and so the bytes,
+it gets alone.
 
-The streams share no state (Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3", SC 2011), so ``estimate_cells`` runs every distinct stream of a
-call concurrently, one thread per usable CPU: numpy draws and compares
-without holding the GIL. Each stream's event counts are gathered by its
-position in the call and handed back to its cells, so the bytes do not
-depend on the number of CPUs or on the order in which the threads finish.
+The substreams share no state (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC 2011), so every (dwell, chunk) of a call is a job of
+its own. ``estimate_cells`` runs them on a thread pool opened for the call,
+one worker per usable CPU and no more workers than jobs: numpy draws and
+compares without holding the GIL. Each worker claims the next job from a
+shared counter and adds its event counts to its own integer totals, so the
+tasks in flight are one per worker, and integer sums make the bytes the
+same for any number of CPUs and any thread schedule.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +54,8 @@ from numpy.random import Generator, Philox
 from .core import _threshold_factors
 
 _CI_Z = 1.96  # 95% Wilson score interval
-# Trials per chunk: 128 KB of statistics, for any l_s. A chunk is drawn once
-# and counted against every cell that shares its stream; under H1 each cell
-# scales it into a 128 KB temporary.
+# Trials per chunk, and so per substream: 128 KB of statistics, for any l_s.
+# Each cell of the dwell scales the chunk into a 128 KB temporary under H1.
 _CHUNK_TRIALS = 1 << 14
 # Fixed odd increment for the single reseeded retry, so retries reproduce too.
 RETRY_SEED_STEP = 0x9E3779B97F4A7C15
@@ -84,20 +90,16 @@ def retry_seed(seed: int) -> int:
     return (seed + RETRY_SEED_STEP) % 2 ** 64
 
 
-def _simulate_batch(
-    l_s: int, under_h1: bool, mc: McConfig, chunk: int = _CHUNK_TRIALS
-) -> Iterator[np.ndarray]:
-    """Gamma(l_s) draws for trials [0, mc.trials), yielded ``chunk`` trials at a time.
+def _chunk_draws(l_s: int, seed: int, chunk: int, size: int = _CHUNK_TRIALS) -> np.ndarray:
+    """The first ``size`` Gamma(l_s) draws of chunk ``chunk``'s substream.
 
-    These are the noise-only statistics; a cell with the signal present
-    scales them by 1 + phi_w. Trial i is draw i of the (seed, hypothesis)
-    stream, so the concatenated draws do not depend on the chunk size. Each
-    chunk is a fresh array, and only one is held at a time.
+    These are the noise-only statistics of trials [chunk * _CHUNK_TRIALS,
+    chunk * _CHUNK_TRIALS + size); a cell with the signal present scales
+    them by 1 + phi_w. The substream's key is the seed and its counter starts
+    with the chunk index in word 2.
     """
-    key = np.array([mc.seed, 1 if under_h1 else 0], dtype=np.uint64)
-    rng = Generator(Philox(key=key))
-    for start in range(0, mc.trials, chunk):
-        yield rng.standard_gamma(float(l_s), size=min(chunk, mc.trials - start))
+    bit_generator = Philox(key=seed, counter=[0, 0, chunk, 0])
+    return Generator(bit_generator).standard_gamma(float(l_s), size)
 
 
 def _wilson_halfwidth(p_hat: float, n: int) -> float:
@@ -133,72 +135,95 @@ def _threshold(l_s: int, phi_w: float) -> float:
     return l_s * _threshold_factors(math.log1p(phi_w), phi_w)[0]
 
 
-def _count_events(job: tuple[int, bool, McConfig, list[tuple[int, float, float]]]) -> list[int]:
-    """Trials of one stream that end in a decision error, for each cell it serves.
+def _count_events(
+    job: tuple[int, int, McConfig, list[tuple[int, float, float]]]
+) -> list[tuple[int, int]]:
+    """(false alarms, misses) in one chunk of one dwell, for each cell it serves.
 
-    The job is (l_s, under_h1, mc, members), with the (slot, phi_w,
-    threshold) of each cell that shares the stream. Each chunk is drawn once
-    and counted against every member: a false alarm under H0 is a statistic
-    above the threshold, a miss under H1 a scaled statistic at or below it.
-    Only the counts are kept, so memory stays bounded in the trials. It runs
-    on a pool thread, so it calls no function bound from another module of
-    the package, whose wrappers (a profiler's) need not be thread-safe.
+    The job is (l_s, chunk, mc, members), with the (cell, phi_w, threshold)
+    of each cell of the dwell. The chunk is drawn once: a false alarm is a
+    statistic above a member's threshold, a miss a statistic scaled by
+    1 + phi_w at or below it. It runs on a pool thread, so it calls no
+    function bound from another module of the package, whose wrappers (a
+    profiler's) need not be thread-safe.
     """
-    l_s, under_h1, mc, members = job
-    counts = [0] * len(members)
+    l_s, chunk, mc, members = job
+    start = chunk * _CHUNK_TRIALS
+    stats = _chunk_draws(l_s, mc.seed, chunk, min(_CHUNK_TRIALS, mc.trials - start))
     # Near the float limit of phi_w a scaled statistic overflows to inf, which
-    # still compares above any finite threshold.
+    # still compares above any finite threshold. The chunk is shared, so each
+    # cell scales a temporary.
     with np.errstate(over="ignore"):
-        for stats in _simulate_batch(l_s, under_h1, mc):
-            for k, (_, phi_w, threshold) in enumerate(members):
-                if under_h1:
-                    # The chunk is shared, so each cell scales a temporary: the
-                    # same product as scaling the chunk in place.
-                    counts[k] += np.count_nonzero(stats * (1.0 + phi_w) <= threshold)
-                else:
-                    counts[k] += np.count_nonzero(stats > threshold)
-    return counts
+        return [
+            (np.count_nonzero(stats > threshold),
+             np.count_nonzero(stats * (1.0 + phi_w) <= threshold))
+            for _, phi_w, threshold in members
+        ]
 
 
 def estimate_cells(cells: Sequence[tuple[int, float]], mc: McConfig) -> list[McEstimate]:
     """Both error probabilities of each (l_s, phi_w) cell by direct simulation, in order.
 
     Both hypotheses of a cell are compared against the same raw threshold
-    (see ``_threshold``), and every cell runs ``mc.trials`` trials of each
-    hypothesis from ``mc.seed``. Every cell is checked before any stream
-    starts. The cells that share l_s share their two streams, so each
-    distinct (l_s, hypothesis) stream is one job, ordered by its first cell.
-    The jobs run on a thread pool opened for this call, with one worker per
-    usable CPU and no more workers than jobs. The first job to fail, in cell
-    order, raises here as it would from a loop over the cells; the jobs not
-    yet started are cancelled, and no pool thread outlives the call.
+    (see ``_threshold``), and every cell runs ``mc.trials`` trials from
+    ``mc.seed``. Every cell is checked before any job starts. Each distinct
+    l_s is one stream, and each of its chunks one job; the jobs are ordered
+    by the dwell's first cell, then by chunk. The first job to fail, in that
+    order, raises here as it would from a loop over the jobs; no job starts
+    after a failure, and no pool thread outlives the call. A worker holds one
+    chunk at a time, so memory grows with the workers, not the trials.
     """
-    # Each stream's key, with the (slot, phi_w, threshold) of every cell it
-    # serves; slot 2i holds cell i's false alarms, slot 2i + 1 its misses.
-    streams: dict[tuple[int, bool], list[tuple[int, float, float]]] = {}
+    # The (cell, phi_w, threshold) of every cell of each distinct dwell.
+    dwells: dict[int, list[tuple[int, float, float]]] = {}
     for index, (l_s, phi_w) in enumerate(cells):
-        threshold = _threshold(l_s, phi_w)
-        for under_h1 in (False, True):
-            streams.setdefault((l_s, under_h1), []).append((2 * index + under_h1, phi_w, threshold))
-    if not streams:
+        dwells.setdefault(l_s, []).append((index, phi_w, _threshold(l_s, phi_w)))
+    chunks = range(-(-mc.trials // _CHUNK_TRIALS))
+    jobs = [(l_s, chunk, mc, members) for l_s, members in dwells.items() for chunk in chunks]
+    if not jobs:
         return []
-    jobs = [(*key, mc, members) for key, members in streams.items()]
     # Imported here, so that the commands that run no Monte Carlo do not pay
     # for the thread pool module and its queue (about 0.5 ms and 0.2 MB).
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    counts = [0] * (2 * len(cells))
-    pool = ThreadPoolExecutor(max_workers=min(len(jobs), _usable_cpus()))
+    claim = threading.Lock()
+    pending = iter(range(len(jobs)))
+    stop = threading.Event()
+    failures: list[tuple[int, Exception]] = []  # (job index, its error)
+
+    def work() -> list[int]:
+        # Slot 2i holds cell i's false alarms, slot 2i + 1 its misses.
+        totals = [0] * (2 * len(cells))
+        while not stop.is_set():
+            with claim:
+                index = next(pending, None)
+            if index is None:
+                break
+            try:
+                counts = _count_events(jobs[index])
+            except Exception as exc:
+                failures.append((index, exc))
+                stop.set()
+                break
+            for (cell, _, _), (alarms, misses) in zip(jobs[index][3], counts):
+                totals[2 * cell] += alarms
+                totals[2 * cell + 1] += misses
+        return totals
+
+    workers = min(len(jobs), _usable_cpus())
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        # map yields the counts in job order, whichever thread finishes first.
-        for (*_, members), job_counts in zip(jobs, pool.map(_count_events, jobs)):
-            for (slot, _, _), count in zip(members, job_counts):
-                counts[slot] = count
+        futures = [pool.submit(work) for _ in range(workers)]
+        per_worker = [future.result() for future in futures]
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        stop.set()
+        pool.shutdown(wait=True)
+    if failures:
+        # Every job ahead of the first failure in job order has run.
+        raise min(failures, key=lambda failure: failure[0])[1]
     # The counts are numpy integers; the rates are Python floats.
     n = mc.trials
-    rates = [float(count) / n for count in counts]
+    rates = [float(sum(slot)) / n for slot in zip(*per_worker)]
     return [
         McEstimate(alpha, beta, _wilson_halfwidth(alpha, n), _wilson_halfwidth(beta, n))
         for alpha, beta in zip(rates[0::2], rates[1::2])

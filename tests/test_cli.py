@@ -386,18 +386,20 @@ class TestValidateCommand:
 
 
 class TestValidateConcurrency:
-    """validate runs its Monte Carlo streams concurrently with the parent's bytes."""
+    """validate runs its Monte Carlo chunks concurrently, with bytes that do not depend on it."""
 
     @pytest.fixture
     def probe(self, monkeypatch):
-        """Calls into the per-stream counter: total and most at once."""
+        """Calls into the per-chunk counter: total, most at once, and each (l_s, chunk, seed)."""
         count_events = montecarlo._count_events
         lock = threading.Lock()
-        state = {"calls": 0, "active": 0, "most": 0}
+        state = {"calls": 0, "active": 0, "most": 0, "chunks": []}
 
         def counter(job):
+            l_s, chunk, mc, _ = job
             with lock:
                 state["calls"] += 1
+                state["chunks"].append((l_s, chunk, mc.seed))
                 state["active"] += 1
                 state["most"] = max(state["most"], state["active"])
             try:
@@ -434,14 +436,19 @@ class TestValidateConcurrency:
         three = self.run_with_cpus(monkeypatch, probe, tmp_path, 3, argv)
         assert one[:2] == three[:2]
         assert one[0] == 3
-        # One cell is two streams per round, so a third worker is never used.
-        assert one[2] == 1 and 1 <= three[2] <= 2
-        assert probe["calls"] == 8  # two rounds of two streams, twice
+        # 10,000 trials are one chunk: each round draws one chunk of the one
+        # dwell, from which both alpha_hat and beta_hat are counted, so a
+        # second worker is never used.
+        assert one[2] == three[2] == 1
+        rounds = [(1, 0, 42), (1, 0, montecarlo.retry_seed(42))]
+        assert probe["chunks"] == rounds * 2
 
     def test_default_grid_draws_each_stream_once(self, tmp_path, probe):
-        # Nine cells over three dwells: one stream per (l_s, hypothesis).
+        # Nine cells over three dwells: one stream per l_s, shared by both
+        # hypotheses, and 1e5 trials are 7 chunks of 2**14.
         assert main(["validate", "--out", str(tmp_path / "v.csv")]) == 0
-        assert probe["calls"] == 6
+        assert probe["calls"] == 3 * 7
+        assert sorted(probe["chunks"]) == [(l_s, c, 42) for l_s in (1, 4, 16) for c in range(7)]
 
     def test_cells_sharing_a_dwell_write_their_one_cell_bytes(self, tmp_path, capsys, probe):
         # 32 // 11 == 32 // 12 == 2, at two different phi_w.
@@ -451,7 +458,7 @@ class TestValidateConcurrency:
             return code, out.read_text().splitlines(), capsys.readouterr().err
 
         code, lines, err = run("11,12")
-        assert code == 0 and probe["calls"] == 2
+        assert code == 0 and probe["calls"] == 7  # one dwell, 7 chunks
         (code11, (header, row11), err11), (code12, (_, row12), err12) = run(11), run(12)
         assert (code11, code12) == (0, 0)
         assert row11.split(",")[:2] != row12.split(",")[:2]
@@ -482,7 +489,9 @@ class TestValidateConcurrency:
             (cells, montecarlo.McConfig(trials=10000, seed=5)),
             (cells[:2], montecarlo.McConfig(trials=10000, seed=montecarlo.retry_seed(5))),
         ]
-        assert probe["calls"] == 4 + 2  # two dwells, then one
+        # Two dwells of one chunk each, then the failing cells' one dwell.
+        assert sorted(probe["chunks"][:2]) == [(1, 0, 5), (4, 0, 5)]
+        assert probe["chunks"][2:] == [(1, 0, montecarlo.retry_seed(5))]
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert [(row[3], row[4], row[-1]) for row in rows] == [
             (str(montecarlo.retry_seed(5)), "true", "false")
@@ -588,6 +597,18 @@ class TestReproCommand:
         assert capsys.readouterr().out == ""
         assert [p.name for p in tmp_path.rglob("*")] == ["d", "fig2_noise_dbm_-50.csv"]
         assert (out_dir / "fig2_noise_dbm_-50.csv").read_text() == "earlier\n"
+
+    def test_directory_at_a_later_target_writes_no_curve(self, tmp_path, capsys):
+        # The second curve's target is a directory. Every target is checked
+        # before the first rename, so the first curve is not written either.
+        target = tmp_path / "d" / "fig2_noise_dbm_-60.csv"
+        target.mkdir(parents=True)
+        assert main(["repro", "fig2", "--out", str(tmp_path / "d")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: [Errno 21] Is a directory: '{target}'\n")
+        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+            "d", "d/fig2_noise_dbm_-60.csv"
+        ]
 
     def test_curves_are_written_one_at_a_time(self, tmp_path, monkeypatch):
         # Each curve is staged in a temp file before the next is computed, so

@@ -15,21 +15,23 @@ from beamsweep.analysis import false_alarm, miss_detection
 from beamsweep.montecarlo import (
     McConfig,
     McEstimate,
-    _simulate_batch,
+    _chunk_draws,
     estimate_cells,
     retry_seed,
 )
 
 Z = 1.96
+CHUNK = montecarlo._CHUNK_TRIALS
 
 
-def simulate(l_s, phi_w, under_h1, seed, trials, chunk=montecarlo._CHUNK_TRIALS):
-    """All statistics of one (cell, hypothesis), its chunks joined.
+def simulate(l_s, phi_w, under_h1, seed, trials):
+    """All statistics of one (cell, hypothesis): the dwell's chunks joined.
 
-    Under H1 the draws are scaled by 1 + phi_w with the product the
-    per-stream counter compares.
+    Both hypotheses share the draws; under H1 they are scaled by 1 + phi_w
+    with the product the per-chunk counter compares.
     """
-    draws = np.concatenate(list(_simulate_batch(l_s, under_h1, McConfig(trials, seed), chunk)))
+    sizes = [min(CHUNK, trials - start) for start in range(0, trials, CHUNK)]
+    draws = np.concatenate([_chunk_draws(l_s, seed, c, size) for c, size in enumerate(sizes)])
     return draws * (1.0 + phi_w) if under_h1 else draws
 
 
@@ -84,12 +86,16 @@ class TestStatisticDistribution:
         stats = simulate(l_s, 1.0, False, seed=77, trials=trials)
         assert ks_2samp(stats, sums).pvalue > 1e-3
 
-    def test_h1_is_scaled_gamma_on_the_h1_key(self):
-        l_s, phi, seed, trials = 16, 0.7, 5, 300
-        key = np.array([seed, 1], dtype=np.uint64)
-        gamma = np.random.Generator(np.random.Philox(key=key)).standard_gamma(float(l_s), trials)
-        stats = simulate(l_s, phi, True, seed=seed, trials=trials)
-        assert np.array_equal(stats, (1.0 + phi) * gamma)
+    def test_h1_is_scaled_gamma_of_the_chunk_substreams(self):
+        # Chunk c is the seed's Philox stream jumped c times (2**128 blocks
+        # each); trials past the first chunk come from the second substream.
+        l_s, phi, seed, trials = 16, 0.7, 5, CHUNK + 300
+        gamma = np.concatenate([
+            np.random.Generator(np.random.Philox(key=seed).jumped(c)).standard_gamma(float(l_s), n)
+            for c, n in ((0, CHUNK), (1, 300))
+        ])
+        assert np.array_equal(simulate(l_s, phi, False, seed=seed, trials=trials), gamma)
+        assert np.array_equal(simulate(l_s, phi, True, seed=seed, trials=trials), (1.0 + phi) * gamma)
 
     def test_h0_variance(self):
         # A sum of l_s unit exponentials has variance l_s.
@@ -110,20 +116,24 @@ class TestDeterminism:
         mc = McConfig(trials=20_000, seed=123)
         assert estimate_one(4, 1.0, mc) == estimate_one(4, 1.0, mc)
 
-    # The default chunk holds all 501 trials; chunks of 17 and 500 split them.
+    # A call's last chunk is cut short at its trial count: cutting a chunk at
+    # 17 or 500 draws keeps them, whichever chunk it is.
     @pytest.mark.parametrize("l_s", [1, 3, 5, 16, 999])
     def test_chunking_cannot_change_results(self, l_s):
-        kw = dict(l_s=l_s, phi_w=0.5, under_h1=True, seed=9, trials=501)
-        base = simulate(**kw)
-        assert np.array_equal(base, simulate(**kw, chunk=17))
-        assert np.array_equal(base, simulate(**kw, chunk=500))
+        for chunk in (0, 1, 7):
+            full = _chunk_draws(l_s, 9, chunk)
+            assert full.shape == (CHUNK,)
+            for size in (17, 500):
+                assert np.array_equal(_chunk_draws(l_s, 9, chunk, size), full[:size])
 
     @pytest.mark.parametrize("l_s", [1, 3, 5, 16])
     def test_trial_independent_of_trial_count(self, l_s):
-        batch = simulate(l_s, 0.5, True, seed=9, trials=200)
-        for trial in (0, 7, 101, 199):
+        # Across the first chunk boundary too: trials 2**14 - 1, 2**14 and
+        # 2**14 + 1 are the last of chunk 0 and the first two of chunk 1.
+        batch = simulate(l_s, 0.5, True, seed=9, trials=CHUNK + 200)
+        for trial in (0, 7, 101, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 199):
             alone = simulate(l_s, 0.5, True, seed=9, trials=trial + 1)
-            assert alone[trial] == batch[trial]
+            assert np.array_equal(alone, batch[: trial + 1])
 
     def test_peak_memory_bounded_at_long_dwell(self):
         # Chunks of 65,536 trials (65,536 x 320 doubles) peaked near 482 MB.
@@ -155,10 +165,15 @@ class TestDeterminism:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
-    def test_hypotheses_use_distinct_streams(self):
+    def test_hypotheses_share_a_stream_and_substreams_differ(self):
         h0 = simulate(2, 1.0, False, seed=9, trials=50)
         h1 = simulate(2, 1.0, True, seed=9, trials=50)
-        assert not np.array_equal(h0 * 2.0, h1)
+        assert np.array_equal(h0 * 2.0, h1)
+        # Adjacent chunks, and chunk 0 of adjacent seeds, share no draw: an
+        # overlapping counter range would repeat a shifted run of them.
+        chunk0 = _chunk_draws(2, 9, 0)
+        for other in (_chunk_draws(2, 9, 1), _chunk_draws(2, 10, 0)):
+            assert np.intersect1d(chunk0, other).size == 0
 
     def test_retry_seed_fixed_and_distinct(self):
         assert retry_seed(42) == retry_seed(42)
@@ -259,8 +274,7 @@ class TestConcurrentStreams:
         assert started == []
 
     def test_failing_stream_raises_and_cancels_the_rest(self, monkeypatch):
-        # One worker: the first stream raises, the next may already have
-        # started, and every later one must be cancelled, not run.
+        # One worker: the first job raises, and no later one may start.
         count_events = montecarlo._count_events
         started = []
 
@@ -268,7 +282,6 @@ class TestConcurrentStreams:
             started.append(job)
             if len(started) == 1:
                 raise RuntimeError("stream failed")
-            time.sleep(0.2)  # long enough for the caller to cancel the rest
             return count_events(job)
 
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
@@ -277,7 +290,29 @@ class TestConcurrentStreams:
         with pytest.raises(RuntimeError, match="stream failed"):
             estimate_cells(self.CELLS, self.MC)
         assert threading.active_count() == threads
-        assert 1 <= len(started) <= 2 < 2 * len(self.CELLS)
+        assert [job[:2] for job in started] == [(1, 0)]  # of 4 jobs
+
+    def test_first_failing_job_in_job_order_raises(self, monkeypatch):
+        # Three workers, and the second and fourth jobs fail. The fourth
+        # mostly fails first, on the worker the quick first job freed, but
+        # the second, ahead of it in job order, is the one raised.
+        count_events = montecarlo._count_events
+
+        def counter(job):
+            if job[0] == 2:
+                time.sleep(0.05)
+                raise RuntimeError("second job")
+            if job[0] == 4:
+                raise RuntimeError("fourth job")
+            return count_events(job)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_count_events", counter)
+        threads = threading.active_count()
+        for _ in range(5):
+            with pytest.raises(RuntimeError, match="second job"):
+                estimate_cells([(1, 0.5), (2, 1.0), (3, 1.0), (4, 1.0)], self.MC)
+        assert threading.active_count() == threads
 
     def test_usable_cpus_follow_the_affinity_set(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
@@ -294,7 +329,8 @@ class TestSharedStreams:
     """Cells that share l_s are counted from one draw per hypothesis."""
 
     FLOAT_MAX = sys.float_info.max
-    MC = McConfig(trials=3000, seed=1)
+    # Three chunks per dwell.
+    MC = McConfig(trials=2 * CHUNK + 3000, seed=1)
 
     def shared_cells(self):
         return [
@@ -323,7 +359,7 @@ class TestSharedStreams:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
 
-    def test_one_job_per_distinct_stream(self, monkeypatch):
+    def test_one_job_per_dwell_and_chunk(self, monkeypatch):
         count_events = montecarlo._count_events
         jobs = []
 
@@ -334,34 +370,52 @@ class TestSharedStreams:
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(montecarlo, "_count_events", counter)
         estimate_cells(self.shared_cells(), self.MC)
-        # (l_s, under_h1) and the call's one McConfig, in the order of each
-        # stream's first cell.
+        # Distinct l_s times chunks, each (l_s, chunk) once with the call's
+        # one McConfig, in the order of each dwell's first cell, then chunk.
         assert [job[:3] for job in jobs] == [
-            (l_s, under_h1, self.MC) for l_s in (4, 16) for under_h1 in (False, True)
+            (l_s, chunk, self.MC) for l_s in (4, 16) for chunk in range(3)
         ]
-        # Each member's slot: 2i for cell i's false alarms, 2i + 1 its misses.
-        assert [[slot for slot, _, _ in job[3]] for job in jobs] == [
-            [0, 2, 4, 6, 8, 14], [1, 3, 5, 7, 9, 15], [10, 12], [11, 13]
-        ]
+        # The cells each chunk serves, in cell order.
+        members = [[cell for cell, _, _ in job[3]] for job in jobs]
+        assert members == [[0, 1, 2, 3, 4, 7]] * 3 + [[5, 6]] * 3
         phis = [[phi_w for _, phi_w, _ in job[3]] for job in jobs]
-        assert phis[0] == phis[1] == [0.1, 1.0, 10.0, 1e308, self.FLOAT_MAX, 1.0]
-        assert phis[2] == phis[3] == [1.0, 1.0]
+        assert phis[:3] == [[0.1, 1.0, 10.0, 1e308, self.FLOAT_MAX, 1.0]] * 3
+        assert phis[3:] == [[1.0, 1.0]] * 3
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+    def test_pool_holds_one_task_per_worker(self, monkeypatch, cpus):
+        # Six jobs; each worker is one pool task that claims jobs until none
+        # is left, so at most min(jobs, cpus) tasks are ever queued.
+        from concurrent.futures import ThreadPoolExecutor
+
+        submit = ThreadPoolExecutor.submit
+        tasks = []
+
+        def counting_submit(pool, *args, **kwargs):
+            tasks.append(args)
+            return submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+        estimate_cells(self.shared_cells(), self.MC)
+        assert len(tasks) == min(6, cpus)
 
     def test_counts_are_the_events_of_each_cells_statistics(self):
+        # Two chunks; both hypotheses count from the same draws.
         l_s, seed, trials = 2, 9, 20_001
         phis = (0.2, 1.0, 3.0, self.FLOAT_MAX)
         estimates = estimate_cells([(l_s, phi_w) for phi_w in phis], McConfig(trials, seed))
+        draws = simulate(l_s, 1.0, False, seed=seed, trials=trials)
         for phi_w, est in zip(phis, estimates):
             threshold = montecarlo._threshold(l_s, phi_w)
             with np.errstate(over="ignore"):
-                h1 = simulate(l_s, phi_w, True, seed=seed, trials=trials)
-            h0 = simulate(l_s, phi_w, False, seed=seed, trials=trials)
-            assert est.alpha_hat == np.count_nonzero(h0 > threshold) / trials
-            assert est.beta_hat == np.count_nonzero(h1 <= threshold) / trials
+                scaled = draws * (1.0 + phi_w)
+            assert est.alpha_hat == np.count_nonzero(draws > threshold) / trials
+            assert est.beta_hat == np.count_nonzero(scaled <= threshold) / trials
         assert estimates[-1].beta_hat == 0.0  # every scaled statistic is inf
 
     def test_peak_memory_bounded_with_shared_streams(self):
-        # 9 cells over 3 dwells, 61 chunks per stream: within the bound of
+        # 9 cells over 3 dwells, 62 chunks per dwell: within the bound of
         # test_estimate_memory_bounded_in_trials.
         cells = [(l_s, phi_w) for l_s in (1, 4, 16) for phi_w in (0.1, 1.0, 10.0)]
         tracemalloc.start()

@@ -25,6 +25,8 @@ def test_public_names_resolve_and_removed_names_are_gone():
         assert not hasattr(beamsweep.core, name)
         assert not hasattr(beamsweep.montecarlo, name)
     assert not hasattr(beamsweep.core, "_checked_threshold_factors")
+    # One stream per dwell, cut into chunk substreams: no per-hypothesis draw.
+    assert not hasattr(beamsweep.montecarlo, "_simulate_batch")
     parameters = inspect.signature(beamsweep.kl_divergence_approx).parameters
     assert list(parameters) == ["cfg", "m"]
     # One run config per call, and cells in the closed forms' (l_s, phi_w).
