@@ -14,8 +14,9 @@ unchanged, so ``main`` may be called repeatedly in one process and each call
 behaves as in a fresh one. The config-file format (reading, canonical
 dump, value formatting) lives in ``presets``. Each CSV column of a curve or
 an ``analyze`` row is the ``DetectionAnalysis`` field of the same name, read
-as one column of the curve's (or the point's) analysis, and one printf
-format built from the header writes every such row.
+as one column of the curve's (or the point's) analysis. ``csvrows`` makes
+those rows, the bytes of '%d' for ``m`` and '%.17g' for the floats, in
+blocks, and each block goes to the output file before the next is made.
 Exit codes: 0 success, 1 validation, parse or out-of-memory failure, 2
 numerical convergence failure, 3 Monte Carlo validation failure.
 """
@@ -26,18 +27,16 @@ import argparse
 import functools
 import os
 import sys
-from collections.abc import Iterable
-
-import numpy as np
+from collections.abc import Iterable, Iterator
 
 from .analysis import (
     ConvergenceError,
-    DetectionAnalysis,
     analyze_scenario,
     false_alarm,
     miss_detection,
 )
 from .core import ScenarioConfig, make_sweep_plan
+from .csvrows import record_blocks
 from .montecarlo import McConfig, McEstimate, estimate_cells, retry_seed
 from .optimizer import SweepCurve, sweep_sectors
 from .presets import (
@@ -106,23 +105,24 @@ def _parse_list(key: str, text: str, as_int: bool) -> list[float] | list[int]:
     return [parse_scalar(key, piece, as_int, where="--set") for piece in items]
 
 
-def _write_atomic(outputs: Iterable[tuple[str, str]]) -> None:
-    # All outputs or none: each text goes to a temp file under a unique name
-    # in its target's directory, and none is renamed before the last is
-    # staged. The texts may come from a generator, so one is held at a time.
+def _write_atomic(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
+    # All outputs or none: each output's text pieces go, in order and as each
+    # is made, to a temp file under a unique name in its target's directory,
+    # and none is renamed before the last is staged. The outputs and their
+    # pieces may come from generators, so one piece is held at a time.
     # Unique names keep concurrent runs apart and the renames atomic. os.open
     # applies the process umask to 0o666, which gives the files the
     # permissions open() would, without reading the umask.
     staged: list[tuple[str, str]] = []  # (temp file, target), not yet renamed
     tmp = path = ""
     try:
-        for path, text in outputs:
+        for path, pieces in outputs:
             directory, name = os.path.split(path)
             tmp = os.path.join(directory, f"{name}.{os.urandom(8).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))
             with open(fd, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
+                handle.writelines(pieces)
         # A rename onto a directory fails after the earlier ones landed, so
         # every target is checked first. This narrows that window, but a
         # directory made after the check still fails a later rename.
@@ -149,25 +149,14 @@ def _text(lines: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _record_rows(columns: str, analysis: DetectionAnalysis) -> list[str]:
-    """CSV rows of an analysis, one per sector count; each column is its field of that name.
 
-    One printf format, built from the column names, writes every row: '%d'
-    for the sector count and '%.17g' for the floats, which is the routine
-    ``format_value`` runs, so the cells are the same.
-    """
-    names = columns.split(",")
-    row = ",".join("%d" if name == "m" else "%.17g" for name in names)
-    cells = (np.atleast_1d(getattr(analysis, name)).tolist() for name in names)
-    return list(map(row.__mod__, zip(*cells)))
-
-
-def _curve_text(curve: SweepCurve, with_minimizer: bool = False) -> str:
-    """The CSV of an error curve, optionally with the minimizer as a trailer line."""
-    lines = [SWEEP_HEADER, *_record_rows(SWEEP_HEADER, curve.analysis)]
+def _curve_pieces(curve: SweepCurve, with_minimizer: bool = False) -> Iterator[str]:
+    """The CSV of an error curve in pieces, optionally with the minimizer as a trailer line."""
+    yield SWEEP_HEADER + "\n"
+    yield from record_blocks(SWEEP_HEADER, curve.analysis)
     if with_minimizer:
-        lines.append(f"# m_star={curve.m_star},xi_star={format_value(curve.xi_star)}")
-    return _text(lines)
+        yield f"# m_star={curve.m_star},xi_star={format_value(curve.xi_star)}\n"
+
 
 
 def _require_out(args: argparse.Namespace) -> str:
@@ -202,8 +191,8 @@ def _run_analyze(args: argparse.Namespace, raw: dict[str, str]) -> int:
             return EXIT_OK
     out = _require_out(args)
     result = analyze_scenario(cfg, m)
-    (row,) = _record_rows(_ANALYZE_COLUMNS, result)
-    _write_atomic([(out, _text([ANALYZE_HEADER, f"{row},{format_value(result.pinsker_vacuous)}"]))])
+    row = "".join(record_blocks(_ANALYZE_COLUMNS, result))[:-1]
+    _write_atomic([(out, [_text([ANALYZE_HEADER, f"{row},{format_value(result.pinsker_vacuous)}"])])])
     return EXIT_OK
 
 
@@ -213,7 +202,7 @@ def _run_curve(args: argparse.Namespace, raw: dict[str, str]) -> int:
     _reject_unknown(raw)
     out = _require_out(args)
     curve = sweep_sectors(cfg)
-    _write_atomic([(out, _curve_text(curve, with_minimizer=args.command == "optimize"))])
+    _write_atomic([(out, _curve_pieces(curve, with_minimizer=args.command == "optimize"))])
     if args.command == "optimize":
         print(f"m_star={curve.m_star} xi_star={format_value(curve.xi_star)}")
     return EXIT_OK
@@ -297,7 +286,7 @@ def _run_validate(args: argparse.Namespace, raw: dict[str, str]) -> int:
             alpha + beta, est.alpha_hat + est.beta_hat, ok,
         )
         lines.append(",".join(map(format_value, row)))
-    _write_atomic([(out, _text(lines))])
+    _write_atomic([(out, [_text(lines)])])
     return EXIT_OK if all_pass else EXIT_MC_FAIL
 
 
@@ -324,7 +313,7 @@ def _run_repro(args: argparse.Namespace, raw: dict[str, str]) -> int:
         head = os.path.dirname(head)
     os.makedirs(out_dir, exist_ok=True)
     try:
-        _write_atomic((path, _curve_text(sweep_sectors(cfg))) for path, cfg in zip(paths, configs))
+        _write_atomic((path, _curve_pieces(sweep_sectors(cfg))) for path, cfg in zip(paths, configs))
     except BaseException:
         for directory in created:
             os.rmdir(directory)

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -13,9 +14,10 @@ import numpy as np
 import pytest
 import scipy
 
-from beamsweep import ConvergenceError, analysis, cli, montecarlo, presets
+from beamsweep import ConvergenceError, analysis, cli, csvrows, montecarlo, presets
 from beamsweep.analysis import DetectionAnalysis, analyze_scenario
 from beamsweep.cli import main
+from beamsweep.optimizer import SweepCurve
 from beamsweep.presets import (
     ConfigError,
     build_scenario,
@@ -629,8 +631,21 @@ class TestReproCommand:
         assert len(os.listdir(out_dir)) == 3
 
 
+def analysis_of(m, floats):
+    """An analysis with sector counts ``m`` and the (rows, 8) floats as its other fields, in order."""
+    return DetectionAnalysis(m, *np.asarray(floats).T)
+
+
+def printf_text(columns, analysis):
+    """The reference: every row through '%d' and '%.17g', one row at a time."""
+    names = columns.split(",")
+    row = ",".join("%d" if name == "m" else "%.17g" for name in names)
+    cells = (np.atleast_1d(getattr(analysis, name)).tolist() for name in names)
+    return "".join(line + "\n" for line in map(row.__mod__, zip(*cells)))
+
+
 class TestRecordRows:
-    """The printf row format writes what format_value writes, cell for cell."""
+    """The rows of an analysis are the bytes '%d' and '%.17g' write, cell for cell."""
 
     AWKWARD = (
         1.0,
@@ -651,6 +666,16 @@ class TestRecordRows:
 
     SECTOR_COUNTS = (1, 2, 67, 4096, 2**40, 10**17, 7, 31, 89, 3, 5, 9, 11, 13)
 
+    # Named cases for the array passes, each with its negative.
+    NAMED = (
+        9.9999999999999999e22,  # the double nearest 1e23, just below it
+        1e-14, 1e98,  # the nearest doubles lie below and round up to the power
+        1e-5, 1e-4, 1e16, 1e17,  # where '%.17g' switches between fixed and scientific
+        1e-100, 1.5e-200, 2.5e123, 1.7976931348623157e308, 2.2250738585072014e-308,
+        5e-324, 0.0, math.inf, math.nan,
+        2.0**-25, 3 * 2.0**-25,  # exact ties at the 17th digit
+    )
+
     def rows(self):
         """Row i holds sector count i and the eight AWKWARD values from i on."""
         values = self.AWKWARD * 8
@@ -665,10 +690,94 @@ class TestRecordRows:
             ",".join(presets.format_value(dict(zip(FIELDS, row))[name]) for name in names)
             for row in rows
         ]
-        assert cli._record_rows(columns, analysis) == expected
+        assert "".join(csvrows.record_blocks(columns, analysis)) == "".join(
+            line + "\n" for line in expected
+        )
+        # The array passes write the same rows.
+        m = analysis.m
+        floats = np.stack([getattr(analysis, name) for name in names[1:]], axis=1)
+        assert csvrows._array_rows(m, floats) == "".join(line + "\n" for line in expected)
         # A point's analysis holds Python numbers and gives its one row.
         for row, line in zip(rows, expected):
-            assert cli._record_rows(columns, DetectionAnalysis(*row)) == [line]
+            assert "".join(csvrows.record_blocks(columns, DetectionAnalysis(*row))) == line + "\n"
+
+    def test_seeded_fuzz_matches_printf(self):
+        # 2**17 rows of 8 float cells: random bit patterns, and every fourth
+        # row subnormal, down to 5e-324.
+        rng = np.random.default_rng(20261019)
+        rows = 2**17
+        bits = rng.integers(0, 2**64, size=(rows, 8), dtype=np.uint64)
+        sign = bits[::4] & np.uint64(1 << 63)
+        bits[::4] = sign | rng.integers(1, 2**52, size=(rows // 4, 8), dtype=np.uint64)
+        bits[0, :2] = [1, (1 << 63) | 1]
+        floats = bits.view(np.float64)
+        m = rng.integers(0, 2**63, size=rows) >> rng.integers(0, 63, size=rows)
+        m[::97] *= -1  # '%d' writes these itself
+        analysis = analysis_of(m, floats)
+        columns = cli._ANALYZE_COLUMNS  # every float field
+        assert "".join(csvrows.record_blocks(columns, analysis)) == printf_text(columns, analysis)
+        # The array passes, not '%.17g', write nearly every cell.
+        proven, _, _ = csvrows._decimal_parts(floats)
+        assert proven.mean() > 0.99
+
+    def test_named_values_match_printf(self):
+        powers = np.array([float(f"1e{q}") for q in range(-323, 309)])
+        values = np.concatenate([
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, math.inf), self.NAMED,
+        ])
+        values = np.concatenate([values, -values])
+        values = np.resize(values, (-(-values.size // 8), 8))  # wraps round to fill the last row
+        analysis = analysis_of(np.arange(1, len(values) + 1), values)
+        assert len(values) >= csvrows._ARRAY_MIN_ROWS
+        assert "".join(csvrows.record_blocks(cli._ANALYZE_COLUMNS, analysis)) == printf_text(
+            cli._ANALYZE_COLUMNS, analysis
+        )
+
+    def test_unprovable_cells_are_left_to_printf(self):
+        unprovable = [2.0**-25, 3 * 2.0**-25, 0.0, -0.0, math.inf, -math.inf, math.nan]
+        proven, _, _ = csvrows._decimal_parts(np.array(unprovable))
+        assert not proven.any()
+        proven, digits, exponents = csvrows._decimal_parts(np.array([0.1, -2.5e-300, 1e300]))
+        assert proven.all()
+        assert digits.tolist() == [10000000000000001, 25000000000000000, 10000000000000001]
+        assert exponents.tolist() == [-1, -300, 300]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [1, csvrows._ARRAY_MIN_ROWS - 1, csvrows._ARRAY_MIN_ROWS,
+         csvrows._BLOCK_ROWS - 1, csvrows._BLOCK_ROWS, csvrows._BLOCK_ROWS + 1],
+    )
+    def test_curve_lengths_around_the_block(self, rows):
+        rng = np.random.default_rng(rows)
+        analysis = analysis_of(np.arange(1, rows + 1), rng.lognormal(0.0, 40.0, (rows, 8)))
+        pieces = list(csvrows.record_blocks(cli.SWEEP_HEADER, analysis))
+        assert "".join(pieces) == printf_text(cli.SWEEP_HEADER, analysis)
+        assert [piece.count("\n") for piece in pieces] == [
+            min(csvrows._BLOCK_ROWS, rows - start) for start in range(0, rows, csvrows._BLOCK_ROWS)
+        ]
+
+    def test_sector_counts_beyond_int64_are_printed(self):
+        rows = csvrows._ARRAY_MIN_ROWS + 1
+        m = np.array([10**30 + i for i in range(rows)], dtype=object)
+        analysis = analysis_of(m, np.full((rows, 8), 0.25))
+        assert "".join(csvrows.record_blocks(cli.SWEEP_HEADER, analysis)) == printf_text(
+            cli.SWEEP_HEADER, analysis
+        )
+
+    @pytest.mark.parametrize("rows", [2**12, 2**17])
+    def test_writing_a_curve_holds_one_block(self, tmp_path, rows):
+        # Writing every row's text and then their join peaked at 61 MB for 2**17 rows.
+        rng = np.random.default_rng(rows)
+        curve = SweepCurve(analysis_of(np.arange(1, rows + 1), rng.random((rows, 8))), 1, 0.5)
+        out = tmp_path / "curve.csv"
+        tracemalloc.start()
+        try:
+            cli._write_atomic([(str(out), cli._curve_pieces(curve, with_minimizer=True))])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert out.read_text().count("\n") == rows + 2
 
 
 class TestCrossCommand:
@@ -799,7 +908,7 @@ class TestWriteAtomic:
 
     def test_target_in_current_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        cli._write_atomic([("out.csv", "a,b\n")])
+        cli._write_atomic([("out.csv", ["a,b\n"])])
         assert (tmp_path / "out.csv").read_text() == "a,b\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
@@ -809,7 +918,7 @@ class TestWriteAtomic:
 
         monkeypatch.setattr(cli.os, "replace", refuse)
         with pytest.raises(OSError, match="synthetic"):
-            cli._write_atomic([(str(tmp_path / "out.csv"), "a,b\n")])
+            cli._write_atomic([(str(tmp_path / "out.csv"), ["a,b\n"])])
         assert list(tmp_path.iterdir()) == []
 
     def test_mode_follows_the_umask_without_reading_it(self, tmp_path, monkeypatch):
@@ -820,7 +929,7 @@ class TestWriteAtomic:
         saved = os.umask(0o027)
         try:
             monkeypatch.setattr(cli.os, "umask", refuse)
-            cli._write_atomic([(str(out), "a,b\n")])
+            cli._write_atomic([(str(out), ["a,b\n"])])
         finally:
             monkeypatch.undo()
             os.umask(saved)
@@ -855,7 +964,7 @@ class TestWriteAtomic:
         def write(text):
             try:
                 for _ in range(50):
-                    cli._write_atomic([(out, text)])
+                    cli._write_atomic([(out, [text])])
             except OSError as exc:
                 errors.append(exc)
 

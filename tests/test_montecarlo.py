@@ -45,6 +45,18 @@ def estimate_one(l_s, phi_w, mc):
     return estimate
 
 
+def worker_memory_bound(workers):
+    """Traced bytes an estimate_cells call may peak at with this many pool workers.
+
+    512 KB plus 240 KB per worker, 8 MB at 32 workers. A worker holds one
+    chunk of 2**14 draws (128 KB) and, while it counts misses, that chunk
+    scaled (128 KB) and a mask (16 KB). With ``_usable_cpus`` patched, the
+    bound does not depend on the machine's CPUs; on a 2-core VM the peaks
+    were 0.28, 0.55 and 4.3 to 6.8 MB at 1, 2 and 32 workers.
+    """
+    return 2**19 + workers * 240 * 2**10
+
+
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
         with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
@@ -145,15 +157,17 @@ class TestDeterminism:
             tracemalloc.stop()
         assert peak < 32 * 2 ** 20
 
-    def test_estimate_memory_bounded_in_trials(self):
+    @pytest.mark.parametrize("workers", [1, 2, 32])
+    def test_estimate_memory_bounded_in_trials(self, monkeypatch, workers):
         # Keeping both hypotheses' full statistic arrays peaked at 64.9 MB here.
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
         tracemalloc.start()
         try:
             estimate_one(1, 1.0, McConfig(trials=4_000_000, seed=1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert peak < worker_memory_bound(workers)
 
     def test_peak_memory_bounded_for_a_wide_row(self):
         # A row of 2**22 samples was held whole, 33.6 MB traced.
@@ -414,9 +428,11 @@ class TestSharedStreams:
             assert est.beta_hat == np.count_nonzero(scaled <= threshold) / trials
         assert estimates[-1].beta_hat == 0.0  # every scaled statistic is inf
 
-    def test_peak_memory_bounded_with_shared_streams(self):
+    @pytest.mark.parametrize("workers", [1, 2, 32])
+    def test_peak_memory_bounded_with_shared_streams(self, monkeypatch, workers):
         # 9 cells over 3 dwells, 62 chunks per dwell: within the bound of
         # test_estimate_memory_bounded_in_trials.
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: workers)
         cells = [(l_s, phi_w) for l_s in (1, 4, 16) for phi_w in (0.1, 1.0, 10.0)]
         tracemalloc.start()
         try:
@@ -424,4 +440,4 @@ class TestSharedStreams:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2 ** 20
+        assert peak < worker_memory_bound(workers)
