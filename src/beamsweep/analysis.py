@@ -16,9 +16,9 @@ its sector counts; either way the result is one ``DetectionAnalysis``. It
 checks its inputs once, at the entry, computes ln(1+phi_w) and the two test
 thresholds once, and hands them to the private kernels that the public
 closed forms also run after their own checks, so a field of the analysis
-equals the public closed form at that point bit for bit. The thresholds come
-from ``core._threshold_factors``, the kernel the Monte Carlo validator's
-threshold uses too.
+equals the public closed form at that point bit for bit. ``_point`` and
+``_thresholds`` are the one check of a point and the one copy of its two
+thresholds; the Monte Carlo validator takes each cell's from them too.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from scipy.special import gammainc, gammaincc
 from .core import (
     FloatOrArray,
     ScenarioConfig,
-    _threshold_factors,
     as_floats,
     elementwise_log1p,
     fields_equal,
@@ -114,10 +113,16 @@ def _point(l_s: FloatOrArray, phi_w: FloatOrArray) -> tuple[FloatOrArray, FloatO
 def _thresholds(
     l_s: FloatOrArray, phi_w: FloatOrArray
 ) -> tuple[FloatOrArray, FloatOrArray, FloatOrArray]:
-    """ln(1+phi_w) and the H0 and H1 test thresholds of a checked point."""
+    """ln(1+phi_w) and the H0 and H1 test thresholds of a checked point.
+
+    The test threshold is l_s ln(1+phi)(1+1/phi) in units of the mean
+    no-signal statistic per sample, and l_s ln(1+phi)/phi in units of the
+    signal-present one; both factors tend to 1 as phi -> 0. One division
+    serves both.
+    """
     log_term = elementwise_log1p(phi_w)
-    h0, h1 = _threshold_factors(log_term, phi_w)
-    return log_term, l_s * h0, l_s * h1
+    h1 = log_term / phi_w
+    return log_term, l_s * (log_term + h1), l_s * h1
 
 
 def _false_alarm(

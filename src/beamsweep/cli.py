@@ -262,8 +262,8 @@ def _run_validate(args: argparse.Namespace, raw: dict[str, str]) -> int:
     out = _require_out(args)
 
     # Every check runs before any Monte Carlo stream starts: the run
-    # parameters, then false_alarm and miss_detection cell by cell, then
-    # estimate_cells' check of phi_w, which holds wherever false_alarm's did.
+    # parameters, then the closed forms' one check of each cell, which
+    # estimate_cells repeats from the same code.
     mc = McConfig(trials=args.trials, seed=args.seed)
     closed_forms = [(false_alarm(l_s, phi_w), miss_detection(l_s, phi_w)) for l_s, phi_w in cells]
     estimates = estimate_cells(cells, mc)

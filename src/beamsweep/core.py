@@ -1,4 +1,4 @@
-"""Scenario parameters, the sweep plan, and the test-threshold kernel.
+"""Scenario parameters and the sweep plan.
 
 Everything downstream works in two normalized coordinates that
 ``make_sweep_plan`` derives here in one step from a scenario and a sector
@@ -225,17 +225,3 @@ def make_sweep_plan(cfg: ScenarioConfig, m: int | np.ndarray) -> SweepPlan:
     require(finite_nonnegative(phi_w), "phi_w must be finite and >= 0, got {}", phi_w)
     return SweepPlan(scalar_or_array(m), scalar_or_array(l_sector.reshape(m.shape)), phi_w)
 
-
-def _threshold_factors(
-    log_term: FloatOrArray, phi: FloatOrArray
-) -> tuple[FloatOrArray, FloatOrArray]:
-    """The H0 and H1 threshold factors from ``log_term`` = ln(1+phi) at phi > 0.
-
-    The test threshold is l_s times the H0 factor ln(1+phi)(1+1/phi) in units
-    of the mean no-signal statistic per sample, and l_s times the H1 factor
-    ln(1+phi)/phi in units of the signal-present one; both tend to 1 as
-    phi -> 0. One division serves both. Every threshold in the package, the
-    closed forms' and the Monte Carlo validator's, comes from here.
-    """
-    h1 = log_term / phi
-    return log_term + h1, h1

@@ -8,9 +8,12 @@ of a unit complex Gaussian is Exp(1), so the normalized statistic, a sum of
 l_sector unit exponentials, is exactly Gamma(l_sector) under the noise-only
 hypothesis and (1 + phi_w) times that with the signal present. Each trial is
 therefore one ``standard_gamma`` draw (Marsaglia & Tsang, ACM TOMS 26 (2000)
-363), whose cost does not grow with l_sector. Both hypotheses are compared
-with the closed forms' H0 threshold, from the same kernel
-(``core._threshold_factors``).
+363), whose cost does not grow with l_sector. The signal-present statistic
+lies at or below the H0 threshold x0 exactly when its Gamma(l_sector) draw
+lies at or below x0 / (1 + phi_w), the H1 threshold x1. So a false alarm is
+a draw above x0 and a miss a draw at or below x1: the events whose
+probabilities Q(l_sector, x0) and P(l_sector, x1) the closed forms give, with
+x0 and x1 from ``analysis._thresholds``.
 
 Determinism contract: the seed keys one counter-based (Philox) stream per
 dwell, shared by both hypotheses, cut into substreams of ``_CHUNK_TRIALS``
@@ -24,12 +27,11 @@ setting. The bytes are stable for a fixed numpy version; numpy may change
 its Generator streams between versions (NEP 19).
 
 A cell is (l_s, phi_w), the closed forms' coordinates, and one ``McConfig``
-(trials, seed) serves every cell of an ``estimate_cells`` call. The H1
-statistic is the H0 statistic scaled by 1 + phi_w, so a stream's draws
-depend on l_s alone (common random numbers): each chunk is drawn once and
-every cell of its dwell counts its false alarms and its misses from it,
-each against its own threshold. A cell gets the counts, and so the bytes,
-it gets alone.
+(trials, seed) serves every cell of an ``estimate_cells`` call. Both
+hypotheses count from the same draws, so a stream's draws depend on l_s
+alone (common random numbers): each chunk is drawn once and every cell of
+its dwell counts its false alarms and its misses from it, each against its
+own thresholds. A cell gets the counts, and so the bytes, it gets alone.
 
 The substreams share no state (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC 2011), so every (dwell, chunk) of a call is a job of
@@ -51,11 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import _threshold_factors
+from .analysis import _point, _thresholds
 
 _CI_Z = 1.96  # 95% Wilson score interval
 # Trials per chunk, and so per substream: 128 KB of statistics, for any l_s.
-# Each cell of the dwell scales the chunk into a 128 KB temporary under H1.
 _CHUNK_TRIALS = 1 << 14
 # Fixed odd increment for the single reseeded retry, so retries reproduce too.
 RETRY_SEED_STEP = 0x9E3779B97F4A7C15
@@ -94,9 +95,9 @@ def _chunk_draws(l_s: int, seed: int, chunk: int, size: int = _CHUNK_TRIALS) -> 
     """The first ``size`` Gamma(l_s) draws of chunk ``chunk``'s substream.
 
     These are the noise-only statistics of trials [chunk * _CHUNK_TRIALS,
-    chunk * _CHUNK_TRIALS + size); a cell with the signal present scales
-    them by 1 + phi_w. The substream's key is the seed and its counter starts
-    with the chunk index in word 2.
+    chunk * _CHUNK_TRIALS + size), which both hypotheses count from. The
+    substream's key is the seed and its counter starts with the chunk index
+    in word 2.
     """
     bit_generator = Philox(key=seed, counter=[0, 0, chunk, 0])
     return Generator(bit_generator).standard_gamma(float(l_s), size)
@@ -117,22 +118,16 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _threshold(l_s: int, phi_w: float) -> float:
-    """The raw test threshold of a cell, shared by both hypotheses.
+def _cell_thresholds(l_s: int, phi_w: float) -> tuple[float, float]:
+    """The closed forms' H0 and H1 thresholds (x0, x1) of one cell.
 
-    In the normalized statistic this is l_s ln(1+phi)(1+1/phi); the inflated
-    signal-present variance is what turns it into l_s ln(1+phi)/phi relative
-    to that hypothesis' own scale. It comes from the threshold kernel the
-    closed forms use, so it equals their H0 threshold bit for bit.
+    The closed forms check the cell; only a whole dwell of at least one
+    sample is the Monte Carlo's own condition.
     """
     if l_s < 1:
         raise ValueError(f"l_s must be >= 1, got {l_s}")
-    if not (math.isfinite(phi_w) and phi_w > 0.0):
-        raise ValueError(
-            f"phi_w must be finite and > 0 to simulate the signal-present "
-            f"hypothesis, got {phi_w}"
-        )
-    return l_s * _threshold_factors(math.log1p(phi_w), phi_w)[0]
+    _, x0, x1 = _thresholds(*_point(l_s, phi_w))
+    return x0, x1
 
 
 def _count_events(
@@ -140,43 +135,37 @@ def _count_events(
 ) -> list[tuple[int, int]]:
     """(false alarms, misses) in one chunk of one dwell, for each cell it serves.
 
-    The job is (l_s, chunk, mc, members), with the (cell, phi_w, threshold)
-    of each cell of the dwell. The chunk is drawn once: a false alarm is a
-    statistic above a member's threshold, a miss a statistic scaled by
-    1 + phi_w at or below it. It runs on a pool thread, so it calls no
-    function bound from another module of the package, whose wrappers (a
-    profiler's) need not be thread-safe.
+    The job is (l_s, chunk, mc, members), with the (cell, x0, x1) of each
+    cell of the dwell. The chunk is drawn once: a false alarm is a draw
+    above a member's x0, a miss a draw at or below its x1. It runs on a pool
+    thread, so it calls no function bound from another module of the
+    package, whose wrappers (a profiler's) need not be thread-safe.
     """
     l_s, chunk, mc, members = job
     start = chunk * _CHUNK_TRIALS
     stats = _chunk_draws(l_s, mc.seed, chunk, min(_CHUNK_TRIALS, mc.trials - start))
-    # Near the float limit of phi_w a scaled statistic overflows to inf, which
-    # still compares above any finite threshold. The chunk is shared, so each
-    # cell scales a temporary.
-    with np.errstate(over="ignore"):
-        return [
-            (np.count_nonzero(stats > threshold),
-             np.count_nonzero(stats * (1.0 + phi_w) <= threshold))
-            for _, phi_w, threshold in members
-        ]
+    return [
+        (np.count_nonzero(stats > x0), np.count_nonzero(stats <= x1))
+        for _, x0, x1 in members
+    ]
 
 
 def estimate_cells(cells: Sequence[tuple[int, float]], mc: McConfig) -> list[McEstimate]:
     """Both error probabilities of each (l_s, phi_w) cell by direct simulation, in order.
 
-    Both hypotheses of a cell are compared against the same raw threshold
-    (see ``_threshold``), and every cell runs ``mc.trials`` trials from
-    ``mc.seed``. Every cell is checked before any job starts. Each distinct
+    A cell's thresholds are the closed forms' (see ``_cell_thresholds``),
+    and every cell runs ``mc.trials`` trials from ``mc.seed``. Every cell is
+    checked, on the calling thread, before any job starts. Each distinct
     l_s is one stream, and each of its chunks one job; the jobs are ordered
     by the dwell's first cell, then by chunk. The first job to fail, in that
     order, raises here as it would from a loop over the jobs; no job starts
     after a failure, and no pool thread outlives the call. A worker holds one
     chunk at a time, so memory grows with the workers, not the trials.
     """
-    # The (cell, phi_w, threshold) of every cell of each distinct dwell.
+    # The (cell, x0, x1) of every cell of each distinct dwell.
     dwells: dict[int, list[tuple[int, float, float]]] = {}
     for index, (l_s, phi_w) in enumerate(cells):
-        dwells.setdefault(l_s, []).append((index, phi_w, _threshold(l_s, phi_w)))
+        dwells.setdefault(l_s, []).append((index, *_cell_thresholds(l_s, phi_w)))
     chunks = range(-(-mc.trials // _CHUNK_TRIALS))
     jobs = [(l_s, chunk, mc, members) for l_s, members in dwells.items() for chunk in chunks]
     if not jobs:

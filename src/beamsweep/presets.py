@@ -19,12 +19,17 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import MISSING, fields
 
 from .core import ScenarioConfig, dbm_to_watt
 
 INT_KEYS = ("n_antennas", "l_total")
 _REQUIRED_KEYS = ("pa_dbm", "noise_dbm", "theta_t", "n_antennas", "l_total", "d_aw")
-_DEFAULT_VALUES = {"path_exp": 2.0, "carrier_hz": 2.4e9}
+# The keys a config may leave out: the ScenarioConfig fields with a default,
+# which have the same names and units.
+_DEFAULT_VALUES = {
+    field.name: field.default for field in fields(ScenarioConfig) if field.default is not MISSING
+}
 CANONICAL_ORDER = (
     "pa_dbm",
     "noise_dbm",

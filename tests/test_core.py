@@ -7,7 +7,6 @@ from beamsweep import analysis, montecarlo
 from beamsweep.core import (
     ScenarioConfig,
     SweepPlan,
-    _threshold_factors,
     dbm_to_watt,
     make_sweep_plan,
     path_loss,
@@ -19,11 +18,12 @@ RHO_2G4_100M = 9.894646840072048e-09
 
 
 def h0_factor(phi: float) -> float:
-    return _threshold_factors(math.log1p(phi), phi)[0]
+    """The H0 threshold at l_s = 1, from the closed forms' threshold kernel."""
+    return analysis._thresholds(1.0, np.float64(phi))[1]
 
 
 def h1_factor(phi: float) -> float:
-    return _threshold_factors(math.log1p(phi), phi)[1]
+    return analysis._thresholds(1.0, np.float64(phi))[2]
 
 
 def array_gain(cfg: ScenarioConfig, m: int) -> float:
@@ -219,11 +219,11 @@ class TestLinkBudget:
 
 
 class TestThresholdFactors:
-    """The one threshold kernel, ``core._threshold_factors``, at phi > 0."""
+    """The one threshold kernel, ``analysis._thresholds``, at l_s = 1 and phi > 0."""
 
     def test_zero_snr_limits(self):
         # At the smallest positive phi both factors are 1 to the last bit.
-        assert _threshold_factors(math.log1p(5e-324), 5e-324) == (1.0, 1.0)
+        assert (h0_factor(5e-324), h1_factor(5e-324)) == (1.0, 1.0)
         assert h0_factor(1e-300) == pytest.approx(1.0, abs=1e-15)
         assert h1_factor(1e-300) == pytest.approx(1.0, abs=1e-15)
 
@@ -239,7 +239,7 @@ class TestThresholdFactors:
     def test_rejects_negative(self):
         # The kernel takes checked inputs; the entry points that reach it check phi.
         with pytest.raises(ValueError):
-            montecarlo._threshold(-0.1, 4)
+            montecarlo._cell_thresholds(4, -0.1)
         with pytest.raises(ValueError):
             analysis.false_alarm(4.0, -0.1)
         with pytest.raises(ValueError):

@@ -27,8 +27,8 @@ CHUNK = montecarlo._CHUNK_TRIALS
 def simulate(l_s, phi_w, under_h1, seed, trials):
     """All statistics of one (cell, hypothesis): the dwell's chunks joined.
 
-    Both hypotheses share the draws; under H1 they are scaled by 1 + phi_w
-    with the product the per-chunk counter compares.
+    Both hypotheses share the draws; under H1 they are scaled by 1 + phi_w,
+    the law of the signal-present statistic.
     """
     sizes = [min(CHUNK, trials - start) for start in range(0, trials, CHUNK)]
     draws = np.concatenate([_chunk_draws(l_s, seed, c, size) for c, size in enumerate(sizes)])
@@ -45,16 +45,20 @@ def estimate_one(l_s, phi_w, mc):
     return estimate
 
 
+# Traced bytes one worker's job may hold at once.
+WORKER_BYTES = 240 * 2**10
+
+
 def worker_memory_bound(workers):
     """Traced bytes an estimate_cells call may peak at with this many pool workers.
 
-    512 KB plus 240 KB per worker, 8 MB at 32 workers. A worker holds one
-    chunk of 2**14 draws (128 KB) and, while it counts misses, that chunk
-    scaled (128 KB) and a mask (16 KB). With ``_usable_cpus`` patched, the
-    bound does not depend on the machine's CPUs; on a 2-core VM the peaks
-    were 0.28, 0.55 and 4.3 to 6.8 MB at 1, 2 and 32 workers.
+    512 KB plus ``WORKER_BYTES`` per worker, 8 MB at 32 workers. A worker
+    holds one chunk of 2**14 draws (128 KB) and, while it counts an event,
+    one mask (16 KB). With ``_usable_cpus`` patched, the bound does not
+    depend on the machine's CPUs; on a 2-core VM the peaks were 0.15 to 0.24,
+    0.28 to 0.30 and 2.9 to 3.9 MB at 1, 2 and 32 workers.
     """
-    return 2**19 + workers * 240 * 2**10
+    return 2**19 + workers * WORKER_BYTES
 
 
 class TestConfigValidation:
@@ -234,7 +238,7 @@ class TestEstimates:
 
 
 class TestThreshold:
-    """A cell's threshold is the closed forms' H0 threshold, from the same kernel."""
+    """A cell's thresholds are the closed forms' (x0, x1), from the same kernel."""
 
     PHIS = (5e-324, 1e-300, 1e-9, 0.1, 1.0, 1.5, 10.0, 1e6, 1e300, 1.7976931348623157e308)
     DWELLS = (1, 2, 3, 16, 160, 2**53 + 1, 2**60 + 1)
@@ -242,13 +246,13 @@ class TestThreshold:
     def test_equals_closed_form_threshold_bit_for_bit(self):
         for phi in self.PHIS:
             for l_s in self.DWELLS:
-                expected = analysis._thresholds(float(l_s), np.float64(phi))[1]
-                assert montecarlo._threshold(l_s, phi) == expected, (phi, l_s)
+                expected = analysis._thresholds(float(l_s), np.float64(phi))[1:]
+                assert montecarlo._cell_thresholds(l_s, phi) == expected, (phi, l_s)
 
     @pytest.mark.parametrize("phi", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_a_snr_it_cannot_simulate(self, phi):
         with pytest.raises(ValueError, match="phi_w must be finite and > 0"):
-            montecarlo._threshold(4, phi)
+            montecarlo._cell_thresholds(4, phi)
 
 
 class TestConcurrentStreams:
@@ -285,6 +289,16 @@ class TestConcurrentStreams:
             estimate_cells([(2, 1.0), (2, 0.0)], mc)
         with pytest.raises(ValueError, match="l_s must be >= 1, got 0"):
             estimate_cells([(2, 1.0), (0, 1.0)], mc)
+        assert started == []
+
+    @pytest.mark.parametrize("l_s", [math.inf, math.nan])
+    def test_non_finite_dwell_checked_before_any_stream(self, monkeypatch, l_s):
+        # An unchecked inf dwell once gave alpha_hat 0 and beta_hat 1, and a
+        # nan one 0 and 0.
+        started = []
+        monkeypatch.setattr(montecarlo, "_count_events", started.append)
+        with pytest.raises(ValueError, match=f"^l_s must be finite and > 0, got {l_s}$"):
+            estimate_cells([(2, 1.0), (l_s, 1.0)], McConfig(trials=10, seed=1))
         assert started == []
 
     def test_failing_stream_raises_and_cancels_the_rest(self, monkeypatch):
@@ -348,8 +362,8 @@ class TestSharedStreams:
 
     def shared_cells(self):
         return [
-            # One l_s over several phi_w; at the float limit every scaled H1
-            # statistic overflows to inf.
+            # One l_s over several phi_w; at the float limit x1 is about
+            # 1.6e-305, below every draw.
             *((4, phi_w) for phi_w in (0.1, 1.0, 10.0, 1e308, self.FLOAT_MAX)),
             # A duplicated cell, ahead of and behind another stream.
             (16, 1.0), (16, 1.0), (4, 1.0),
@@ -389,12 +403,16 @@ class TestSharedStreams:
         assert [job[:3] for job in jobs] == [
             (l_s, chunk, self.MC) for l_s in (4, 16) for chunk in range(3)
         ]
-        # The cells each chunk serves, in cell order.
-        members = [[cell for cell, _, _ in job[3]] for job in jobs]
-        assert members == [[0, 1, 2, 3, 4, 7]] * 3 + [[5, 6]] * 3
-        phis = [[phi_w for _, phi_w, _ in job[3]] for job in jobs]
-        assert phis[:3] == [[0.1, 1.0, 10.0, 1e308, self.FLOAT_MAX, 1.0]] * 3
-        assert phis[3:] == [[1.0, 1.0]] * 3
+        # The cells each chunk serves, in cell order, with the closed forms'
+        # (x0, x1) of each.
+        cells = self.shared_cells()
+        expected = [
+            [(cell, *analysis._thresholds(float(l_s), np.float64(phi_w))[1:])
+             for cell, (l_s, phi_w) in enumerate(cells) if l_s == dwell]
+            for dwell in (4, 16)
+        ]
+        assert [cell for cell, _, _ in expected[0]] == [0, 1, 2, 3, 4, 7]
+        assert [job[3] for job in jobs] == [expected[0]] * 3 + [expected[1]] * 3
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
     def test_pool_holds_one_task_per_worker(self, monkeypatch, cpus):
@@ -421,12 +439,15 @@ class TestSharedStreams:
         estimates = estimate_cells([(l_s, phi_w) for phi_w in phis], McConfig(trials, seed))
         draws = simulate(l_s, 1.0, False, seed=seed, trials=trials)
         for phi_w, est in zip(phis, estimates):
-            threshold = montecarlo._threshold(l_s, phi_w)
+            _, x0, x1 = analysis._thresholds(float(l_s), np.float64(phi_w))
+            assert est.alpha_hat == np.count_nonzero(draws > x0) / trials
+            assert est.beta_hat == np.count_nonzero(draws <= x1) / trials
+            # The H1 statistic against x0, as misses were once counted, gives
+            # the same count on these draws.
             with np.errstate(over="ignore"):
                 scaled = draws * (1.0 + phi_w)
-            assert est.alpha_hat == np.count_nonzero(draws > threshold) / trials
-            assert est.beta_hat == np.count_nonzero(scaled <= threshold) / trials
-        assert estimates[-1].beta_hat == 0.0  # every scaled statistic is inf
+            assert np.count_nonzero(scaled <= x0) == np.count_nonzero(draws <= x1)
+        assert estimates[-1].beta_hat == 0.0  # x1 is below every draw
 
     @pytest.mark.parametrize("workers", [1, 2, 32])
     def test_peak_memory_bounded_with_shared_streams(self, monkeypatch, workers):
@@ -441,3 +462,36 @@ class TestSharedStreams:
         finally:
             tracemalloc.stop()
         assert peak < worker_memory_bound(workers)
+
+    @pytest.mark.parametrize("phi_w", [0.3, 1.0, 2.5, 7.0, 123.0])
+    def test_events_at_the_thresholds_are_the_closed_forms(self, monkeypatch, phi_w):
+        # Draws within a few ulps of x1, and at x0 and its neighbours: a miss
+        # is a draw at or below x1 and a false alarm a draw above x0, exactly.
+        # The H1 statistic (1 + phi_w) * draw against x0 can round such a
+        # draw to the other side.
+        _, x0, x1 = analysis._thresholds(4.0, np.float64(phi_w))
+        draws = np.array(
+            [x1 * (1.0 + k * 2.0**-52) for k in range(-6, 7)]
+            + [np.nextafter(x0, 0.0), x0, np.nextafter(x0, np.inf)]
+        )
+        monkeypatch.setattr(montecarlo, "_chunk_draws", lambda l_s, seed, chunk, size: draws)
+        (est,) = estimate_cells([(4, phi_w)], McConfig(trials=draws.size, seed=1))
+        assert est.beta_hat == np.count_nonzero(draws <= x1) / draws.size
+        assert est.alpha_hat == np.count_nonzero(draws > x0) / draws.size
+
+    def test_one_job_holds_a_chunk_and_a_mask(self):
+        # One full chunk (128 KB) and one 16 KB mask at a time, however many
+        # cells the chunk serves; a scaled copy of the chunk per cell made it
+        # 273 KB, above a worker's share of worker_memory_bound.
+        members = [
+            (cell, *montecarlo._cell_thresholds(4, phi_w))
+            for cell, phi_w in enumerate((0.1, 1.0, 10.0))
+        ]
+        job = (4, 0, McConfig(trials=CHUNK, seed=1), members)
+        tracemalloc.start()
+        try:
+            montecarlo._count_events(job)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= WORKER_BYTES

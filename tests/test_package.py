@@ -18,6 +18,7 @@ def test_public_names_resolve_and_removed_names_are_gone():
         "h0_threshold_factor",
         "h1_threshold_factor",
         "estimate_errors",
+        "_threshold_factors",  # folded into analysis._thresholds
     )
     for name in removed:
         assert name not in beamsweep.__all__
