@@ -81,7 +81,8 @@ def reg_lower_gamma(a: FloatOrArray, x: FloatOrArray) -> FloatOrArray:
     """Regularized lower incomplete gamma function P(a, x) in [0, 1].
 
     P(a, x) is the CDF at x of a unit-scale gamma distribution with shape a,
-    evaluated by ``scipy.special.gammainc``.
+    evaluated by ``scipy.special.gammainc``, or as 1 - ``gammaincc`` at
+    shapes below 1e-3.
 
     Raises:
         ValueError: if a <= 0, x < 0, or either input is not finite.
@@ -95,8 +96,16 @@ def reg_lower_gamma(a: FloatOrArray, x: FloatOrArray) -> FloatOrArray:
 
 
 def _lower_gamma(a: FloatOrArray, x: FloatOrArray) -> FloatOrArray:
-    """P(a, x) at checked inputs; a non-finite result raises ConvergenceError."""
-    p = as_floats(gammainc(a, x))
+    """P(a, x) at checked inputs; a non-finite result raises ConvergenceError.
+
+    Below shape 1e-3, P > 0.47 at any double x > 0, so Q is the smaller tail
+    and 1 - Q is correctly rounded; ``gammainc`` errs there by up to about
+    100 ulps, and returns values above 1 below shape 4e-15.
+    """
+    p = gammainc(a, x)
+    if np.count_nonzero(a < 1e-3):
+        p = np.where(a < 1e-3, 1.0 - gammaincc(a, x), p)
+    p = as_floats(p)
     require(np.isfinite(p), "gammainc returned {} at a={}, x={}", p, a, x, error=ConvergenceError)
     return p
 
@@ -118,11 +127,13 @@ def _thresholds(
     The test threshold is l_s ln(1+phi)(1+1/phi) in units of the mean
     no-signal statistic per sample, and l_s ln(1+phi)/phi in units of the
     signal-present one; both factors tend to 1 as phi -> 0. One division
-    serves both.
+    serves both. An H0 threshold beyond the float range is inf, without a
+    numpy warning: Q(l_s, inf) = 0.
     """
     log_term = elementwise_log1p(phi_w)
     h1 = log_term / phi_w
-    return log_term, l_s * (log_term + h1), l_s * h1
+    with np.errstate(over="ignore"):
+        return log_term, l_s * (log_term + h1), l_s * h1
 
 
 def _false_alarm(

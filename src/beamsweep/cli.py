@@ -208,8 +208,8 @@ def _run_curve(args: argparse.Namespace, raw: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def _validate_cells(args: argparse.Namespace, raw: dict[str, str]) -> list[tuple[int, float]]:
-    """Resolve the (integer l_s, phi_w) cells a validate run should check."""
+def _validate_cells(args: argparse.Namespace, raw: dict[str, str]) -> list[tuple[float, float]]:
+    """The (l_s, phi_w) cells to check: the config's curve rows as written, or a grid."""
     if args.config:
         if "l_s" in raw or "phi_w" in raw:
             raise ConfigError(
@@ -218,27 +218,12 @@ def _validate_cells(args: argparse.Namespace, raw: dict[str, str]) -> list[tuple
             )
         m_list = _parse_list("m", raw.pop("m"), as_int=True) if "m" in raw else [1]
         _, cfg = _load_scenario_for(args, raw)
-        cells = []
-        for m in m_list:
-            plan = make_sweep_plan(cfg, m)
-            l_int = cfg.l_total // m
-            if l_int < 1:
-                raise ConfigError(
-                    f"m={m} leaves no whole symbol per sector (l_total={cfg.l_total})"
-                )
-            if cfg.l_total % m != 0:
-                print(
-                    f"note: l_total={cfg.l_total} not divisible by m={m}; "
-                    f"Monte Carlo validates l_s={l_int} instead of "
-                    f"{plan.l_sector:.6g}",
-                    file=sys.stderr,
-                )
-            cells.append((l_int, plan.phi_w))
-        return cells
+        plans = (make_sweep_plan(cfg, m) for m in m_list)
+        return [(plan.l_sector, plan.phi_w) for plan in plans]
     if "m" in raw:
         raise ConfigError("--set m=... requires --config")
     ls_list = (
-        _parse_list("l_s", raw.pop("l_s"), as_int=True) if "l_s" in raw else [1, 4, 16]
+        _parse_list("l_s", raw.pop("l_s"), as_int=False) if "l_s" in raw else [1, 4, 16]
     )
     phi_list = (
         _parse_list("phi_w", raw.pop("phi_w"), as_int=False)

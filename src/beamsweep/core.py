@@ -173,8 +173,7 @@ class SweepPlan:
 
     ``l_sector`` and ``phi_w`` are the two numbers that fix the detector in a
     sector. For an array of sector counts every field is an array over them.
-    ``l_sector`` is kept real-valued; only the Monte Carlo validator needs an
-    integer sample count and floors it at its own boundary.
+    ``l_sector`` is real-valued: l_total / m, whether or not m divides l_total.
     """
 
     m_sectors: int | np.ndarray

@@ -8,7 +8,10 @@ of a unit complex Gaussian is Exp(1), so the normalized statistic, a sum of
 l_sector unit exponentials, is exactly Gamma(l_sector) under the noise-only
 hypothesis and (1 + phi_w) times that with the signal present. Each trial is
 therefore one ``standard_gamma`` draw (Marsaglia & Tsang, ACM TOMS 26 (2000)
-363), whose cost does not grow with l_sector. The signal-present statistic
+363), whose cost does not grow with l_sector. A sector's dwell l_total / m
+need not be whole: the closed forms read it as Gamma(l_sector) at real
+shape, and ``standard_gamma`` draws that law at any shape > 0, so the
+simulation checks the cell the curve writes. The signal-present statistic
 lies at or below the H0 threshold x0 exactly when its Gamma(l_sector) draw
 lies at or below x0 / (1 + phi_w), the H1 threshold x1. So a false alarm is
 a draw above x0 and a miss a draw at or below x1: the events whose
@@ -91,7 +94,7 @@ def retry_seed(seed: int) -> int:
     return (seed + RETRY_SEED_STEP) % 2 ** 64
 
 
-def _chunk_draws(l_s: int, seed: int, chunk: int, size: int = _CHUNK_TRIALS) -> np.ndarray:
+def _chunk_draws(l_s: float, seed: int, chunk: int, size: int = _CHUNK_TRIALS) -> np.ndarray:
     """The first ``size`` Gamma(l_s) draws of chunk ``chunk``'s substream.
 
     These are the noise-only statistics of trials [chunk * _CHUNK_TRIALS,
@@ -118,20 +121,8 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _cell_thresholds(l_s: int, phi_w: float) -> tuple[float, float]:
-    """The closed forms' H0 and H1 thresholds (x0, x1) of one cell.
-
-    The closed forms check the cell; only a whole dwell of at least one
-    sample is the Monte Carlo's own condition.
-    """
-    if l_s < 1:
-        raise ValueError(f"l_s must be >= 1, got {l_s}")
-    _, x0, x1 = _thresholds(*_point(l_s, phi_w))
-    return x0, x1
-
-
 def _count_events(
-    job: tuple[int, int, McConfig, list[tuple[int, float, float]]]
+    job: tuple[float, int, McConfig, list[tuple[int, float, float]]]
 ) -> list[tuple[int, int]]:
     """(false alarms, misses) in one chunk of one dwell, for each cell it serves.
 
@@ -150,24 +141,28 @@ def _count_events(
     ]
 
 
-def estimate_cells(cells: Sequence[tuple[int, float]], mc: McConfig) -> list[McEstimate]:
+def estimate_cells(cells: Sequence[tuple[float, float]], mc: McConfig) -> list[McEstimate]:
     """Both error probabilities of each (l_s, phi_w) cell by direct simulation, in order.
 
-    A cell's thresholds are the closed forms' (see ``_cell_thresholds``),
-    and every cell runs ``mc.trials`` trials from ``mc.seed``. Every cell is
+    A cell's check and thresholds are the closed forms' (``_point`` and
+    ``_thresholds``), so any finite l_s > 0 is simulated at its real shape.
+    Every cell runs ``mc.trials`` trials from ``mc.seed``, and every cell is
     checked, on the calling thread, before any job starts. Each distinct
     l_s is one stream, and each of its chunks one job; the jobs are ordered
-    by the dwell's first cell, then by chunk. The first job to fail, in that
-    order, raises here as it would from a loop over the jobs; no job starts
-    after a failure, and no pool thread outlives the call. A worker holds one
-    chunk at a time, so memory grows with the workers, not the trials.
+    by the dwell's first cell, then by chunk, and a job's index maps to its
+    (dwell, chunk) by division, so no job list is built.
+    The first job to fail, in that order, raises here as it would from a
+    loop over the jobs; no job starts after a failure, and no pool thread
+    outlives the call. A worker holds one chunk at a time, so memory grows
+    with the workers, not the trials.
     """
     # The (cell, x0, x1) of every cell of each distinct dwell.
-    dwells: dict[int, list[tuple[int, float, float]]] = {}
+    dwells: dict[float, list[tuple[int, float, float]]] = {}
     for index, (l_s, phi_w) in enumerate(cells):
-        dwells.setdefault(l_s, []).append((index, *_cell_thresholds(l_s, phi_w)))
-    chunks = range(-(-mc.trials // _CHUNK_TRIALS))
-    jobs = [(l_s, chunk, mc, members) for l_s, members in dwells.items() for chunk in chunks]
+        dwells.setdefault(l_s, []).append((index, *_thresholds(*_point(l_s, phi_w))[1:]))
+    streams = list(dwells.items())
+    chunks = -(-mc.trials // _CHUNK_TRIALS)
+    jobs = len(streams) * chunks
     if not jobs:
         return []
     # Imported here, so that the commands that run no Monte Carlo do not pay
@@ -176,7 +171,7 @@ def estimate_cells(cells: Sequence[tuple[int, float]], mc: McConfig) -> list[McE
     from concurrent.futures import ThreadPoolExecutor
 
     claim = threading.Lock()
-    pending = iter(range(len(jobs)))
+    pending = iter(range(jobs))
     stop = threading.Event()
     failures: list[tuple[int, Exception]] = []  # (job index, its error)
 
@@ -188,18 +183,20 @@ def estimate_cells(cells: Sequence[tuple[int, float]], mc: McConfig) -> list[McE
                 index = next(pending, None)
             if index is None:
                 break
+            stream, chunk = divmod(index, chunks)
+            l_s, members = streams[stream]
             try:
-                counts = _count_events(jobs[index])
+                counts = _count_events((l_s, chunk, mc, members))
             except Exception as exc:
                 failures.append((index, exc))
                 stop.set()
                 break
-            for (cell, _, _), (alarms, misses) in zip(jobs[index][3], counts):
+            for (cell, _, _), (alarms, misses) in zip(members, counts):
                 totals[2 * cell] += alarms
                 totals[2 * cell + 1] += misses
         return totals
 
-    workers = min(len(jobs), _usable_cpus())
+    workers = min(jobs, _usable_cpus())
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
         futures = [pool.submit(work) for _ in range(workers)]

@@ -120,6 +120,28 @@ class TestMissDetectionTail:
         assert abs(miss_detection(l_s, phi) - reference) <= 1e-10 * reference
 
 
+class TestTinyDwell:
+    """Dwells far below one sample, where beta lies within an ulp or so of 1.
+
+    There scipy's gammainc errs by up to about 100 ulps, and returns
+    1.0000000000000238 at (1e-300, 3); beta is 1 - Q, correctly rounded.
+    """
+
+    @pytest.mark.parametrize("l_s", [1e-300, 1e-30, 1e-17])
+    @pytest.mark.parametrize("phi", [0.3, 3.0, 30.0])
+    def test_beta_is_correctly_rounded_and_at_most_one(self, l_s, phi):
+        alpha, beta = false_alarm(l_s, phi), miss_detection(l_s, phi)
+        assert 0.0 <= alpha <= 1.0 and 0.0 <= beta <= 1.0
+        assert total_error(l_s, phi) <= 1.0
+        threshold = l_s * (math.log1p(phi) / phi)
+        assert beta == float(reg_lower_gamma_reference(l_s, threshold))
+
+    def test_overflowing_threshold_gives_no_false_alarm(self):
+        # The H0 threshold of l_s = 1e308 overflows to inf; the suite turns
+        # numpy's overflow warning into an error.
+        assert false_alarm(1e308, 10.0) == 0.0
+
+
 class TestKlDivergence:
     def test_frozen_point(self):
         assert kl_divergence_exact(10.0, 0.1) == pytest.approx(KL_10_TENTH, abs=1e-15)

@@ -239,7 +239,7 @@ class TestThresholdFactors:
     def test_rejects_negative(self):
         # The kernel takes checked inputs; the entry points that reach it check phi.
         with pytest.raises(ValueError):
-            montecarlo._cell_thresholds(4, -0.1)
+            montecarlo.estimate_cells([(4, -0.1)], montecarlo.McConfig(trials=1, seed=1))
         with pytest.raises(ValueError):
             analysis.false_alarm(4.0, -0.1)
         with pytest.raises(ValueError):

@@ -102,10 +102,12 @@ class TestStatisticDistribution:
         stats = simulate(l_s, 1.0, False, seed=77, trials=trials)
         assert ks_2samp(stats, sums).pvalue > 1e-3
 
-    def test_h1_is_scaled_gamma_of_the_chunk_substreams(self):
+    @pytest.mark.parametrize("l_s", [16, 2.5, 32 / 31])
+    def test_h1_is_scaled_gamma_of_the_chunk_substreams(self, l_s):
         # Chunk c is the seed's Philox stream jumped c times (2**128 blocks
         # each); trials past the first chunk come from the second substream.
-        l_s, phi, seed, trials = 16, 0.7, 5, CHUNK + 300
+        # A dwell need not be whole: the draws are Gamma(l_s) at its real shape.
+        phi, seed, trials = 0.7, 5, CHUNK + 300
         gamma = np.concatenate([
             np.random.Generator(np.random.Philox(key=seed).jumped(c)).standard_gamma(float(l_s), n)
             for c, n in ((0, CHUNK), (1, 300))
@@ -173,6 +175,25 @@ class TestDeterminism:
             tracemalloc.stop()
         assert peak < worker_memory_bound(workers)
 
+    def test_no_job_list_grows_with_the_trials(self, monkeypatch):
+        # 10**6 chunks for each of two dwells, and the first job raises, so
+        # nothing is drawn. One tuple per (dwell, chunk), built before any
+        # job ran, traced 225 MB here.
+        def fail(job):
+            raise RuntimeError("no draws")
+
+        monkeypatch.setattr(montecarlo, "_count_events", fail)
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        mc = McConfig(trials=10**6 * CHUNK, seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="no draws"):
+                estimate_cells([(2, 1.0), (2.5, 1.0)], mc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
     def test_peak_memory_bounded_for_a_wide_row(self):
         # A row of 2**22 samples was held whole, 33.6 MB traced.
         tracemalloc.start()
@@ -214,6 +235,13 @@ class TestEstimates:
         assert abs(est.alpha_hat - false_alarm(4.0, 1.0)) <= 3.0 * est.ci_halfwidth_alpha
         assert abs(est.beta_hat - miss_detection(4.0, 1.0)) <= 3.0 * est.ci_halfwidth_beta
 
+    @pytest.mark.parametrize("l_s", [32 / 31, 2.5, 0.5])
+    def test_real_dwell_against_closed_form(self, l_s):
+        # fig3's optimum m = 31 has the dwell 32/31, and its m = 64 has 0.5.
+        est = estimate_one(l_s, 1.0, McConfig(trials=100_000, seed=7))
+        assert abs(est.alpha_hat - false_alarm(l_s, 1.0)) <= 3.0 * est.ci_halfwidth_alpha
+        assert abs(est.beta_hat - miss_detection(l_s, 1.0)) <= 3.0 * est.ci_halfwidth_beta
+
     def test_degenerate_single_trial(self):
         est = estimate_one(1, 1.0, McConfig(trials=1, seed=5))
         assert est.alpha_hat in (0.0, 1.0)
@@ -237,22 +265,41 @@ class TestEstimates:
         )
 
 
+def job_thresholds(monkeypatch, cells):
+    """The (x0, x1) that the jobs of an ``estimate_cells`` call hold for each cell.
+
+    ``_count_events`` is patched to count nothing, so no chunk is drawn.
+    """
+    thresholds = {}
+
+    def record(job):
+        thresholds.update((cell, (x0, x1)) for cell, x0, x1 in job[3])
+        return [(0, 0)] * len(job[3])
+
+    monkeypatch.setattr(montecarlo, "_count_events", record)
+    estimate_cells(cells, McConfig(trials=1, seed=1))
+    return [thresholds[cell] for cell in range(len(cells))]
+
+
 class TestThreshold:
     """A cell's thresholds are the closed forms' (x0, x1), from the same kernel."""
 
     PHIS = (5e-324, 1e-300, 1e-9, 0.1, 1.0, 1.5, 10.0, 1e6, 1e300, 1.7976931348623157e308)
-    DWELLS = (1, 2, 3, 16, 160, 2**53 + 1, 2**60 + 1)
+    DWELLS = (1e-300, 32 / 31, 1, 2, 2.5, 3, 16, 160, 2**53 + 1, 2**60 + 1, 1e308)
 
-    def test_equals_closed_form_threshold_bit_for_bit(self):
-        for phi in self.PHIS:
-            for l_s in self.DWELLS:
-                expected = analysis._thresholds(float(l_s), np.float64(phi))[1:]
-                assert montecarlo._cell_thresholds(l_s, phi) == expected, (phi, l_s)
+    def test_equals_closed_form_threshold_bit_for_bit(self, monkeypatch):
+        cells = [(l_s, phi) for phi in self.PHIS for l_s in self.DWELLS]
+        for (l_s, phi), thresholds in zip(cells, job_thresholds(monkeypatch, cells)):
+            expected = analysis._thresholds(float(l_s), np.float64(phi))[1:]
+            assert thresholds == expected, (phi, l_s)
 
     @pytest.mark.parametrize("phi", [0.0, -1.0, math.inf, math.nan])
-    def test_rejects_a_snr_it_cannot_simulate(self, phi):
+    def test_rejects_a_snr_it_cannot_simulate(self, monkeypatch, phi):
+        started = []
+        monkeypatch.setattr(montecarlo, "_count_events", started.append)
         with pytest.raises(ValueError, match="phi_w must be finite and > 0"):
-            montecarlo._cell_thresholds(4, phi)
+            estimate_cells([(4, phi)], McConfig(trials=1, seed=1))
+        assert started == []
 
 
 class TestConcurrentStreams:
@@ -287,7 +334,8 @@ class TestConcurrentStreams:
         mc = McConfig(trials=10, seed=1)
         with pytest.raises(ValueError, match="phi_w .* got 0.0"):
             estimate_cells([(2, 1.0), (2, 0.0)], mc)
-        with pytest.raises(ValueError, match="l_s must be >= 1, got 0"):
+        # The closed forms' one check: no whole dwell is asked for.
+        with pytest.raises(ValueError, match="^l_s must be finite and > 0, got 0.0$"):
             estimate_cells([(2, 1.0), (0, 1.0)], mc)
         assert started == []
 
@@ -484,7 +532,7 @@ class TestSharedStreams:
         # cells the chunk serves; a scaled copy of the chunk per cell made it
         # 273 KB, above a worker's share of worker_memory_bound.
         members = [
-            (cell, *montecarlo._cell_thresholds(4, phi_w))
+            (cell, *analysis._thresholds(4.0, np.float64(phi_w))[1:])
             for cell, phi_w in enumerate((0.1, 1.0, 10.0))
         ]
         job = (4, 0, McConfig(trials=CHUNK, seed=1), members)

@@ -19,6 +19,7 @@ def test_public_names_resolve_and_removed_names_are_gone():
         "h1_threshold_factor",
         "estimate_errors",
         "_threshold_factors",  # folded into analysis._thresholds
+        "_cell_thresholds",  # a cell's one check and thresholds are analysis's
     )
     for name in removed:
         assert name not in beamsweep.__all__
