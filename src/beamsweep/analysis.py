@@ -148,7 +148,7 @@ def _false_alarm(
         # Checked first: blind points have the smallest SNR, so along a curve
         # they come before any point gammaincc could fail at.
         alpha = np.array(alpha)
-        alpha[blind] = 1.0 - reg_lower_gamma(np.broadcast_to(l_s, x0.shape)[blind], x0[blind])
+        alpha[blind] = 1.0 - _lower_gamma(np.broadcast_to(l_s, x0.shape)[blind], x0[blind])
         alpha = alpha[()]
     require(
         blind | np.isfinite(alpha),

@@ -13,10 +13,11 @@ first ``main`` call, and every later call reuses it; parsing leaves it
 unchanged, so ``main`` may be called repeatedly in one process and each call
 behaves as in a fresh one. The config-file format (reading, canonical
 dump, value formatting) lives in ``presets``. Each CSV column of a curve or
-an ``analyze`` row is the ``DetectionAnalysis`` field of the same name, read
-as one column of the curve's (or the point's) analysis. ``csvrows`` makes
-those rows, the bytes of '%d' for ``m`` and '%.17g' for the floats, in
-blocks, and each block goes to the output file before the next is made.
+an ``analyze`` row is the ``DetectionAnalysis`` field of the same name. A
+curve's rows are made by ``csvrows`` in blocks, the bytes of '%d' for ``m``
+and '%.17g' for the floats, and each block goes to the output file before
+the next is made; the one ``analyze`` row, like every ``validate`` row, is
+``format_value`` of each cell, which writes the same bytes.
 Exit codes: 0 success, 1 validation, parse or out-of-memory failure, 2
 numerical convergence failure, 3 Monte Carlo validation failure.
 """
@@ -61,8 +62,7 @@ DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 42
 
 SWEEP_HEADER = "m,l_sector,phi_w,alpha,beta,xi,kl_exact,pinsker_lb"
-_ANALYZE_COLUMNS = "m,l_sector,phi_w,alpha,beta,xi,kl_exact,kl_approx,pinsker_lb"
-ANALYZE_HEADER = f"{_ANALYZE_COLUMNS},pinsker_vacuous"
+ANALYZE_HEADER = "m,l_sector,phi_w,alpha,beta,xi,kl_exact,kl_approx,pinsker_lb,pinsker_vacuous"
 VALIDATE_HEADER = (
     "l_s,phi_w,trials,seed,retried,"
     "alpha,alpha_hat,ci_alpha,beta,beta_hat,ci_beta,xi,xi_hat,pass"
@@ -191,8 +191,8 @@ def _run_analyze(args: argparse.Namespace, raw: dict[str, str]) -> int:
             return EXIT_OK
     out = _require_out(args)
     result = analyze_scenario(cfg, m)
-    row = "".join(record_blocks(_ANALYZE_COLUMNS, result))[:-1]
-    _write_atomic([(out, [_text([ANALYZE_HEADER, f"{row},{format_value(result.pinsker_vacuous)}"])])])
+    row = ",".join(format_value(getattr(result, name)) for name in ANALYZE_HEADER.split(","))
+    _write_atomic([(out, [_text([ANALYZE_HEADER, row])])])
     return EXIT_OK
 
 

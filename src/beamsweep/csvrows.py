@@ -1,11 +1,9 @@
 """CSV rows of a DetectionAnalysis: the bytes '%d' and '%.17g' write, made in array passes.
 
 ``record_blocks`` yields the rows of an analysis, one per sector count, in
-blocks of text that a writer puts out one at a time. A block long enough to
-repay it is laid out by ``_array_rows`` in array passes; a shorter one goes
-through the printf formats row by row. Either way the bytes are those of
-'%d' for the sector count and '%.17g' for every float, the routine
-``presets.format_value`` runs.
+blocks of text that a writer puts out one at a time; ``_array_rows`` lays
+out every block in array passes. The bytes are those of '%d' for the sector
+count and '%.17g' for every float, the routine ``presets.format_value`` runs.
 
 A float x != 0 is written by '%.17g' from its 17 significant digits: the
 integer D = round(|x| * 10**(16 - k)) in [10**16, 10**17), rounded half to
@@ -28,10 +26,6 @@ import numpy as np
 from .analysis import DetectionAnalysis
 
 _BLOCK_ROWS = 1024  # rows per block of text: bounds the memory of a long curve
-# Below this many rows a block is printed row by row: the array passes cost
-# about 0.12 ms however few the rows, and printf, at 4 to 6 us a row, is as
-# fast up to 40 to 56 rows (fig3 curve rows on a 2-core x86-64 VM, numpy 2.4.6).
-_ARRAY_MIN_ROWS = 48
 
 _K_MIN, _K_MAX = -324, 308  # the decimal exponents of nonzero doubles
 _Q_MIN, _Q_MAX = 16 - _K_MAX, 16 - _K_MIN  # the powers 10**(16 - k) they need
@@ -53,25 +47,17 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
 def record_blocks(columns: str, analysis: DetectionAnalysis) -> Iterator[str]:
     """CSV rows of an analysis, one per sector count, as text of up to ``_BLOCK_ROWS`` rows.
 
-    Each column is the analysis field of that name; the first is the sector
-    count ``m``, written as '%d' writes it, and every other column is written
-    as '%.17g' writes it, the routine ``format_value`` runs. Every row ends
-    in a newline. A block is made only when the previous one has been
-    consumed, so the text of one block at a time is held. A block of fewer
-    than ``_ARRAY_MIN_ROWS`` rows, or one whose sector counts are not a
-    machine-integer array, is printed row by row with those printf formats;
-    any other is laid out in array passes by ``_array_rows``, which gives the
-    same bytes.
+    Each column is the analysis field of that name, an array over the sector
+    counts; the first is the sector count ``m``, an integer array written as
+    '%d' writes it, and every other column is written as '%.17g' writes it,
+    the routine ``format_value`` runs. Every row ends in a newline. A block
+    is made only when the previous one has been consumed, so the text of one
+    block at a time is held.
     """
-    names = columns.split(",")
-    cells = [np.atleast_1d(getattr(analysis, name)) for name in names]
-    printf_row = ",".join("%d" if name == "m" else "%.17g" for name in names) + "\n"
+    cells = [getattr(analysis, name) for name in columns.split(",")]
     for start in range(0, len(cells[0]), _BLOCK_ROWS):
         block = [column[start:start + _BLOCK_ROWS] for column in cells]
-        if len(block[0]) < _ARRAY_MIN_ROWS or block[0].dtype.kind != "i":
-            yield "".join(map(printf_row.__mod__, zip(*(column.tolist() for column in block))))
-        else:
-            yield _array_rows(block[0], np.stack(block[1:], axis=1))
+        yield _array_rows(block[0], np.stack(block[1:], axis=1))
 
 
 @functools.cache

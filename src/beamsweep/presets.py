@@ -1,11 +1,14 @@
 """The config-file format, scenario values in its coordinates, and the shipped presets.
 
 A scenario is written as flat key=value pairs with powers in dBm and ``#``
-comments. ``load_config_values`` reads that format, ``dump_config_text``
-writes it in canonical order with ``format_value``, and ``build_scenario``
-converts the values to a ScenarioConfig at this boundary. The preset values
-below are the one copy that ``fig2_config``/``fig3_config``, ``beamsweep
-repro`` and the tests read; ``configs/*.cfg`` must match them.
+comments. The keys, their canonical order, which are integers and which may
+be left out are read off the ScenarioConfig fields, so a scenario parameter
+is declared there alone. ``load_config_values`` reads that format,
+``dump_config_text`` writes it in canonical order with ``format_value``, and
+``build_scenario`` converts the values to a ScenarioConfig at this boundary,
+one field at a time in field order. The preset values below are the one
+copy that ``fig2_config``/``fig3_config``, ``beamsweep repro`` and the tests
+read; ``configs/*.cfg`` must match them.
 
 Both presets share the array and geometry; they differ in transmit power and
 symbol budget. At the 50 m standoff they land in the two qualitative
@@ -19,28 +22,27 @@ from __future__ import annotations
 
 import math
 import sys
+import typing
 from dataclasses import MISSING, fields
 
 from .core import ScenarioConfig, dbm_to_watt
 
-INT_KEYS = ("n_antennas", "l_total")
-_REQUIRED_KEYS = ("pa_dbm", "noise_dbm", "theta_t", "n_antennas", "l_total", "d_aw")
-# The keys a config may leave out: the ScenarioConfig fields with a default,
-# which have the same names and units.
+# The config schema is ScenarioConfig's: one key per field, in field order,
+# of the field's kind (int or float), and under the field's name, except that
+# a power the field holds in watts ("*_watt") is given in dBm ("*_dbm").
+_KINDS = typing.get_type_hints(ScenarioConfig)
+_FIELD_KEYS = {
+    f.name: f.name.removesuffix("_watt") + "_dbm" if f.name.endswith("_watt") else f.name
+    for f in fields(ScenarioConfig)
+}
+CANONICAL_ORDER = tuple(_FIELD_KEYS.values())
+CONFIG_KEYS = frozenset(CANONICAL_ORDER)
+INT_KEYS = tuple(key for name, key in _FIELD_KEYS.items() if _KINDS[name] is int)
+# The keys a config may leave out: the fields with a default, none of them a
+# power, so each keeps its name and units.
 _DEFAULT_VALUES = {
     field.name: field.default for field in fields(ScenarioConfig) if field.default is not MISSING
 }
-CANONICAL_ORDER = (
-    "pa_dbm",
-    "noise_dbm",
-    "theta_t",
-    "n_antennas",
-    "l_total",
-    "d_aw",
-    "path_exp",
-    "carrier_hz",
-)
-CONFIG_KEYS = frozenset(CANONICAL_ORDER)
 
 PRESET_VALUES: dict[str, dict[str, float | int]] = {
     "fig2": {
@@ -79,8 +81,8 @@ class ConfigError(ValueError):
 
 def effective_values(values: dict[str, float | int]) -> dict[str, float | int]:
     """Fill in defaulted keys and verify the required ones are present."""
-    for key in _REQUIRED_KEYS:
-        if key not in values:
+    for key in CANONICAL_ORDER:
+        if key not in values and key not in _DEFAULT_VALUES:
             raise ConfigError(f"missing required key '{key}'")
     return {**_DEFAULT_VALUES, **values}
 
@@ -142,16 +144,10 @@ def dump_config_text(values: dict[str, float | int]) -> str:
 def build_scenario(values: dict[str, float | int]) -> ScenarioConfig:
     """Construct a validated ScenarioConfig from config-file values."""
     full = effective_values(values)
-    return ScenarioConfig(
-        pa_watt=_watt(full, "pa_dbm"),
-        noise_watt=_watt(full, "noise_dbm"),
-        theta_t=float(full["theta_t"]),
-        n_antennas=int(full["n_antennas"]),
-        l_total=int(full["l_total"]),
-        d_aw=float(full["d_aw"]),
-        path_exp=float(full["path_exp"]),
-        carrier_hz=float(full["carrier_hz"]),
-    )
+    return ScenarioConfig(**{
+        name: _watt(full, key) if key != name else _KINDS[name](full[key])
+        for name, key in _FIELD_KEYS.items()
+    })
 
 
 def _watt(values: dict[str, float | int], key: str) -> float:

@@ -91,11 +91,14 @@ class TestConfigParsing:
         assert cfg.path_exp == 2.0
         assert cfg.carrier_hz == 2.4e9
 
-    def test_missing_required_key_named(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key", ["pa_dbm", "noise_dbm", "theta_t", "n_antennas", "l_total", "d_aw"]
+    )
+    def test_missing_required_key_named(self, tmp_path, key):
         text = "\n".join(
-            line for line in GOOD_CONFIG.splitlines() if not line.startswith("l_total")
+            line for line in GOOD_CONFIG.splitlines() if not line.startswith(f"{key}=")
         )
-        with pytest.raises(ConfigError, match="l_total"):
+        with pytest.raises(ConfigError, match=f"^missing required key '{key}'$"):
             build_scenario(load_config_values(write_config(tmp_path, text)))
 
     def test_invariant_violation_cited(self, tmp_path):
@@ -123,9 +126,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="d_aw"):
             load_config_values(path)
 
-    def test_integer_key_rejects_fraction(self, tmp_path):
-        path = write_config(tmp_path, GOOD_CONFIG.replace("l_total=32", "l_total=32.5"))
-        with pytest.raises(ConfigError, match="l_total"):
+    @pytest.mark.parametrize("key, value", [("n_antennas", "128"), ("l_total", "32")])
+    def test_integer_key_rejects_fraction(self, tmp_path, key, value):
+        path = write_config(tmp_path, GOOD_CONFIG.replace(f"{key}={value}", f"{key}={value}.5"))
+        with pytest.raises(ConfigError, match=f"key '{key}' expects an integer, got '{value}.5'"):
             load_config_values(path)
 
     def test_dump_text_reparses_identically(self, tmp_path):
@@ -172,6 +176,28 @@ class TestAnalyzeCommand:
         path.write_text(echoed)
         assert build_scenario(load_config_values(str(path))) == build_scenario(
             load_config_values(FIG3_CFG)
+        )
+
+    @pytest.mark.parametrize("defaults_given", [True, False])
+    def test_dump_config_text_is_canonical(self, tmp_path, capsys, defaults_given):
+        # The canonical key order, the integer keys' text and the defaults,
+        # which a config without path_exp and carrier_hz gets filled in.
+        config = FIG3_CFG
+        if not defaults_given:
+            lines = Path(FIG3_CFG).read_text().splitlines()
+            config = write_config(
+                tmp_path, "\n".join(x for x in lines if not x.startswith(("path_exp", "carrier_hz")))
+            )
+        assert main(["analyze", "--config", config, "--dump-config"]) == 0
+        assert capsys.readouterr().out == (
+            "pa_dbm=10\n"
+            "noise_dbm=-50\n"
+            "theta_t=1.0471975511965976\n"
+            "n_antennas=128\n"
+            "l_total=32\n"
+            "d_aw=50\n"
+            "path_exp=2\n"
+            "carrier_hz=2400000000\n"
         )
 
     def test_override_changes_scenario(self, tmp_path):
@@ -665,6 +691,10 @@ def analysis_of(m, floats):
     return DetectionAnalysis(m, *np.asarray(floats).T)
 
 
+# The sector count and every float field of an analysis: all but pinsker_vacuous.
+FLOAT_COLUMNS = "m,l_sector,phi_w,alpha,beta,xi,kl_exact,kl_approx,pinsker_lb"
+
+
 def printf_text(columns, analysis):
     """The reference: every row through '%d' and '%.17g', one row at a time."""
     names = columns.split(",")
@@ -710,7 +740,7 @@ class TestRecordRows:
         values = self.AWKWARD * 8
         return [(m, *values[i : i + 8]) for i, m in enumerate(self.SECTOR_COUNTS)]
 
-    @pytest.mark.parametrize("columns", [cli.SWEEP_HEADER, cli._ANALYZE_COLUMNS])
+    @pytest.mark.parametrize("columns", [cli.SWEEP_HEADER, FLOAT_COLUMNS])
     def test_matches_format_value(self, columns):
         rows = self.rows()
         analysis = DetectionAnalysis(*map(np.array, zip(*rows)))
@@ -726,9 +756,10 @@ class TestRecordRows:
         m = analysis.m
         floats = np.stack([getattr(analysis, name) for name in names[1:]], axis=1)
         assert csvrows._array_rows(m, floats) == "".join(line + "\n" for line in expected)
-        # A point's analysis holds Python numbers and gives its one row.
+        # A one-row analysis gives its one row, 2**40 and 10**17 among the sector counts.
         for row, line in zip(rows, expected):
-            assert "".join(csvrows.record_blocks(columns, DetectionAnalysis(*row))) == line + "\n"
+            one_row = DetectionAnalysis(*(np.array([cell]) for cell in row))
+            assert "".join(csvrows.record_blocks(columns, one_row)) == line + "\n"
 
     def test_seeded_fuzz_matches_printf(self):
         # 2**17 rows of 8 float cells: random bit patterns, and every fourth
@@ -743,7 +774,7 @@ class TestRecordRows:
         m = rng.integers(0, 2**63, size=rows) >> rng.integers(0, 63, size=rows)
         m[::97] *= -1  # '%d' writes these itself
         analysis = analysis_of(m, floats)
-        columns = cli._ANALYZE_COLUMNS  # every float field
+        columns = FLOAT_COLUMNS
         assert "".join(csvrows.record_blocks(columns, analysis)) == printf_text(columns, analysis)
         # The array passes, not '%.17g', write nearly every cell.
         proven, _, _ = csvrows._decimal_parts(floats)
@@ -757,9 +788,9 @@ class TestRecordRows:
         values = np.concatenate([values, -values])
         values = np.resize(values, (-(-values.size // 8), 8))  # wraps round to fill the last row
         analysis = analysis_of(np.arange(1, len(values) + 1), values)
-        assert len(values) >= csvrows._ARRAY_MIN_ROWS
-        assert "".join(csvrows.record_blocks(cli._ANALYZE_COLUMNS, analysis)) == printf_text(
-            cli._ANALYZE_COLUMNS, analysis
+        assert len(values) >= 48
+        assert "".join(csvrows.record_blocks(FLOAT_COLUMNS, analysis)) == printf_text(
+            FLOAT_COLUMNS, analysis
         )
 
     def test_unprovable_cells_are_left_to_printf(self):
@@ -773,8 +804,7 @@ class TestRecordRows:
 
     @pytest.mark.parametrize(
         "rows",
-        [1, csvrows._ARRAY_MIN_ROWS - 1, csvrows._ARRAY_MIN_ROWS,
-         csvrows._BLOCK_ROWS - 1, csvrows._BLOCK_ROWS, csvrows._BLOCK_ROWS + 1],
+        [1, 47, 48, csvrows._BLOCK_ROWS - 1, csvrows._BLOCK_ROWS, csvrows._BLOCK_ROWS + 1],
     )
     def test_curve_lengths_around_the_block(self, rows):
         rng = np.random.default_rng(rows)
@@ -784,14 +814,6 @@ class TestRecordRows:
         assert [piece.count("\n") for piece in pieces] == [
             min(csvrows._BLOCK_ROWS, rows - start) for start in range(0, rows, csvrows._BLOCK_ROWS)
         ]
-
-    def test_sector_counts_beyond_int64_are_printed(self):
-        rows = csvrows._ARRAY_MIN_ROWS + 1
-        m = np.array([10**30 + i for i in range(rows)], dtype=object)
-        analysis = analysis_of(m, np.full((rows, 8), 0.25))
-        assert "".join(csvrows.record_blocks(cli.SWEEP_HEADER, analysis)) == printf_text(
-            cli.SWEEP_HEADER, analysis
-        )
 
     @pytest.mark.parametrize("rows", [2**12, 2**17])
     def test_writing_a_curve_holds_one_block(self, tmp_path, rows):
