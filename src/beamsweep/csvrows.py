@@ -14,18 +14,26 @@ cell's sign, layout (fixed at each exponent from -4 to 16, or scientific
 with a two- or three-digit exponent) and digit count, the constant
 characters and which slots are printed. The printed slots of a block, in
 order, are its text.
+
+The passes over a block write into one workspace (``_Workspace``), made once
+per curve and reused by each of its blocks. Arrays made and freed block by
+block are too large for the C allocator to keep: it returned their memory
+to the system, and every block faulted it in again, about 1,800 minor page
+faults for a 4,096-row curve. A block is _BLOCK_ROWS = 512 rows, which holds
+the workspace of an eight-column curve to 1.1 MB.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Iterator
 
 import numpy as np
 
 from .analysis import DetectionAnalysis
 
-_BLOCK_ROWS = 1024  # rows per block of text: bounds the memory of a long curve
+_BLOCK_ROWS = 512  # rows per block of text: bounds the memory of a long curve
 
 _K_MIN, _K_MAX = -324, 308  # the decimal exponents of nonzero doubles
 _Q_MIN, _Q_MAX = 16 - _K_MAX, 16 - _K_MIN  # the powers 10**(16 - k) they need
@@ -52,12 +60,69 @@ def record_blocks(columns: str, analysis: DetectionAnalysis) -> Iterator[str]:
     '%d' writes it, and every other column is written as '%.17g' writes it,
     the routine ``format_value`` runs. Every row ends in a newline. A block
     is made only when the previous one has been consumed, so the text of one
-    block at a time is held.
+    block at a time is held. The passes over every block write into one
+    workspace, made for the curve's first block; the last, shorter block
+    lays its arrays out in the same memory. Each block is a new string, not
+    a view of the workspace.
     """
     cells = [getattr(analysis, name) for name in columns.split(",")]
-    for start in range(0, len(cells[0]), _BLOCK_ROWS):
-        block = [column[start:start + _BLOCK_ROWS] for column in cells]
-        yield _array_rows(block[0], np.stack(block[1:], axis=1))
+    rows = len(cells[0])
+    workspace = _Workspace(min(_BLOCK_ROWS, rows), len(cells) - 1)
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        ws = workspace if start + _BLOCK_ROWS <= rows else workspace.carve(rows - start)
+        for x, column in zip(ws.x.T, cells[1:]):
+            x[:] = column[block]
+        yield _array_rows(cells[0][block], ws.x, ws)
+
+
+class _Workspace:
+    """The arrays the passes over one block of ``rows`` rows and ``floats`` float columns write into.
+
+    They are views of one buffer, made once per curve: freeing a block's
+    arrays and making the next one's would return memory to the system and
+    fault it in again, block after block. Every pass overwrites what it
+    reads, so nothing carries over from one block to the next, and
+    ``carve`` lays out a shorter block's arrays in the same buffer.
+    """
+
+    def __init__(self, rows: int, floats: int, memory: np.ndarray | None = None) -> None:
+        cells, line = (rows, floats), (rows, 1 + floats)
+        layout = {
+            "x": (cells, np.float64),  # the block's float columns
+            "reals": ((9,) + cells, np.float64),  # _decimal_parts' intermediates
+            "e": (cells, np.intc),
+            "k": (cells, np.int64),
+            "d": (cells, np.int64),
+            "index": (cells, np.int64),
+            "scratch": (cells, np.int64),
+            "zeros": (cells, np.int64),
+            "proven": (cells, bool),
+            "flag": (cells, bool),
+            "groups": (cells + (5,), np.int64),
+            "quads": (cells + (5,), np.uint32),
+            "exponent_text": (cells + (4,), np.uint8),
+            "m": ((rows,), np.int64),
+            "counted": ((rows,), bool),
+            "m_groups": ((rows, 5), np.int64),
+            "m_quads": ((rows, 5), np.uint32),
+            "keys": (line, np.int64),
+            "chars": (line + (_SLOTS,), np.uint8),
+            "printed": (line + (_SLOTS,), bool),
+        }
+        # Each array starts a multiple of 64 bytes into the buffer, aligned for its dtype.
+        sizes = [
+            -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64 for shape, dtype in layout.values()
+        ]
+        self.memory = np.empty(sum(sizes), np.uint8) if memory is None else memory
+        offset = 0
+        for (name, (shape, dtype)), size in zip(layout.items(), sizes):
+            setattr(self, name, np.ndarray(shape, dtype, self.memory, offset))
+            offset += size
+
+    def carve(self, rows: int) -> _Workspace:
+        """The arrays of a block of fewer rows, in the same memory."""
+        return _Workspace(rows, self.x.shape[1], self.memory)
 
 
 @functools.cache
@@ -151,8 +216,8 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return chars, printed, forms * 17, exponent_text.astype(np.uint8)
 
 
-def _decimal_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(proven, D, k) of each float: |x| = D * 10**(k - 16) to 17 significant digits.
+def _decimal_parts(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(proven, D, k) of each float of ``x`` (n, c): |x| = D * 10**(k - 16) to 17 significant digits.
 
     With |x| = mant * 2**e (``np.frexp``) and 10**(16 - k) ~ (hi + lo) * 2**b
     from ``_pow10_table``, y = |x| * 10**(16 - k) is mant * hi as Dekker's
@@ -167,81 +232,114 @@ def _decimal_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     D <= 10**17; a y within 2**-45 below 10**16 has the same digits at k.
     Zeros, non-finite values, (near-)ties such as 2**-25, and a guess of
     k = floor(log10 |x|) off by one are not proven: their D is 10**16 and
-    their text comes from '%.17g' itself.
+    their text comes from '%.17g' itself. The three results, like every
+    intermediate, are arrays of the workspace ``ws``, sized for ``x``.
     """
-    ax = np.abs(x)
-    proven = np.isfinite(ax) & (ax > 0.0)
-    ax = np.where(proven, ax, 1.0)
-    k = np.floor(np.log10(ax)).astype(np.int64)
+    ax, mant, m_high, m_low, h_high, h_low, p, err, t = ws.reals
+    proven, flag = ws.proven, ws.flag
+    k, d, row, bits = ws.k, ws.d, ws.index, ws.scratch
+    np.abs(x, out=ax)
+    np.isfinite(ax, out=proven)
+    proven &= np.greater(ax, 0.0, out=flag)
+    np.copyto(ax, 1.0, where=np.logical_not(proven, out=flag))
+    np.floor(np.log10(ax, out=t), out=t)
+    np.copyto(k, t, casting="unsafe")  # an integer already
     hi_high, hi_low, lo, exponents = _pow10_table()
-    row = (16 - _Q_MIN) - k
-    mant, e = np.frexp(ax)
-    split = mant * 134217729.0
-    m_high = split - (split - mant)
-    m_low = mant - m_high
-    h_high, h_low = hi_high[row], hi_low[row]
-    p = mant * (h_high + h_low)
-    err = ((m_high * h_high - p) + m_high * h_low + m_low * h_high) + m_low * h_low
-    scale = ((e + exponents[row] + 1023) << 52).view(np.float64)  # 2**(e + b), exact
-    y_high = p * scale  # an integer, since y >= 2**53 wherever the cell can be proven
-    y_low = (err + mant * lo[row]) * scale
-    floor = np.floor(y_low)
-    fraction = y_low - floor
-    d = y_high.astype(np.int64) + floor.astype(np.int64)
-    proven &= (np.abs(fraction - 0.5) > _TIE_MARGIN) & (d >= 10**16)
-    d += fraction > 0.5
-    proven &= d <= 10**17
-    carry = d == 10**17
-    d[carry] = 10**16
+    np.subtract(16 - _Q_MIN, k, out=row)
+    np.frexp(ax, out=(mant, ws.e))
+    np.multiply(mant, 134217729.0, out=m_high)  # Veltkamp's split, then m_high = split - (split - mant)
+    np.subtract(m_high, np.subtract(m_high, mant, out=t), out=m_high)
+    np.subtract(mant, m_high, out=m_low)
+    np.take(hi_high, row, out=h_high, mode="clip")
+    np.take(hi_low, row, out=h_low, mode="clip")
+    np.multiply(mant, np.add(h_high, h_low, out=p), out=p)
+    # err = ((m_high * h_high - p) + m_high * h_low + m_low * h_high) + m_low * h_low
+    np.multiply(m_high, h_high, out=err)
+    err -= p
+    err += np.multiply(m_high, h_low, out=t)
+    err += np.multiply(m_low, h_high, out=t)
+    err += np.multiply(m_low, h_low, out=t)
+    np.take(exponents, row, out=bits, mode="clip")
+    bits += ws.e
+    bits += 1023
+    bits <<= 52
+    scale = bits.view(np.float64)  # 2**(e + b), exact
+    y_high = np.multiply(p, scale, out=p)  # an integer, since y >= 2**53 wherever the cell can be proven
+    err += np.multiply(mant, np.take(lo, row, out=t, mode="clip"), out=t)
+    y_low = np.multiply(err, scale, out=err)
+    floor = np.floor(y_low, out=ax)
+    fraction = np.subtract(y_low, floor, out=y_low)
+    np.copyto(d, y_high, casting="unsafe")
+    np.copyto(bits, floor, casting="unsafe")
+    d += bits
+    proven &= np.greater(np.abs(np.subtract(fraction, 0.5, out=t), out=t), _TIE_MARGIN, out=flag)
+    proven &= np.greater_equal(d, 10**16, out=flag)
+    d += np.greater(fraction, 0.5, out=flag)
+    proven &= np.less_equal(d, 10**17, out=flag)
+    carry = np.equal(d, 10**17, out=flag)
+    np.copyto(d, 10**16, where=carry)
     k += carry
-    d[~proven] = 10**16
+    np.copyto(d, 10**16, where=np.logical_not(proven, out=flag))
     return proven, d, k
 
 
-def _digit_groups(v: np.ndarray) -> np.ndarray:
-    """Non-negative int64 v as five groups of decimal digits: v // 10**16, then four of four."""
-    groups = np.empty(v.shape + (5,), np.int64)
-    upper, lower = np.divmod(v, 10**8)
+def _digit_groups(v: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Non-negative int64 v as five groups of decimal digits: v // 10**16, then four of four.
+
+    The groups are written to ``groups``, of shape v.shape + (5,), and returned.
+    """
+    upper, high, low, lower = (groups[..., i] for i in (1, 2, 3, 4))
+    np.divmod(v, 10**8, out=(upper, low))
     np.divmod(upper, 10**8, out=(groups[..., 0], upper))
-    np.divmod(upper, 10**4, out=(groups[..., 1], groups[..., 2]))
-    np.divmod(lower, 10**4, out=(groups[..., 3], groups[..., 4]))
+    np.divmod(upper, 10**4, out=(upper, high))
+    np.divmod(low, 10**4, out=(low, lower))
     return groups
 
 
-def _array_rows(m: np.ndarray, x: np.ndarray) -> str:
+def _array_rows(m: np.ndarray, x: np.ndarray, ws: _Workspace) -> str:
     """The CSV rows of sector counts ``m`` (n,) and float columns ``x`` (n, c), in array passes.
 
-    The bytes are those of the printf formats by construction: a cell the
-    array passes cannot prove (see ``_decimal_parts``; for ``m``, a negative
-    count) is formatted by '%.17g' or '%d' itself and its text put in its
-    slots.
+    The passes write into the workspace ``ws``, sized for n rows of c floats;
+    the rows are a new string. The bytes are those of the printf formats by
+    construction: a cell the array passes cannot prove (see
+    ``_decimal_parts``; for ``m``, a negative count) is formatted by '%.17g'
+    or '%d' itself and its text put in its slots.
     """
     quads, trailing = _quad_digits()
     chars_of, printed_of, form_keys, exponent_text = _layouts()
-    proven, d, k = _decimal_parts(x)
-    groups = _digit_groups(d)
-    zeros = trailing[groups[..., 4]]  # trailing zeros of D, four digits at a time
+    proven, d, k = _decimal_parts(x, ws)
+    groups = _digit_groups(d, ws.groups)
+    zeros, flag, index = ws.zeros, ws.flag, ws.index
+    np.take(trailing, groups[..., 4], out=zeros, mode="clip")  # trailing zeros of D, four digits at a time
     for group, run in ((3, 4), (2, 8), (1, 12)):
-        zeros += (zeros == run) * trailing[groups[..., group]]
+        np.add(zeros, np.take(trailing, groups[..., group], out=ws.scratch, mode="clip"), out=zeros,
+               where=np.equal(zeros, run, out=flag))
     m = m.astype(np.int64, copy=False)
-    counted = m >= 0
-    keys = np.empty((len(m), 1 + x.shape[1]), np.int64)
-    keys[:, 0] = _INT_KEYS + np.searchsorted(_POWERS_OF_TEN, m, side="right") + 1
-    keys[:, 1:] = np.signbit(x) * (_FORMS * 17) + form_keys[k - _K_MIN] + (16 - zeros)
-    chars = np.take(chars_of, keys, axis=0)
-    printed = np.take(printed_of, keys, axis=0)
+    counted = np.greater_equal(m, 0, out=ws.counted)
+    keys = ws.keys
+    keys[:, 0] = np.searchsorted(_POWERS_OF_TEN, m, side="right")
+    keys[:, 0] += _INT_KEYS + 1
+    np.subtract(k, _K_MIN, out=index)
+    float_keys = np.take(form_keys, index, out=ws.scratch, mode="clip")
+    float_keys += 16
+    float_keys -= zeros
+    np.add(float_keys, _FORMS * 17, out=float_keys, where=np.signbit(x, out=flag))
+    keys[:, 1:] = float_keys
+    chars = np.take(chars_of, keys, axis=0, out=ws.chars, mode="clip")
+    printed = np.take(printed_of, keys, axis=0, out=ws.printed, mode="clip")
 
     cells = chars[:, 1:]
-    digits = np.take(quads, groups).view(np.uint8)[..., 3:]
+    digits = np.take(quads, groups, out=ws.quads, mode="clip").view(np.uint8)[..., 3:]
     cells[..., _LEAD:_POINT] = digits
     cells[..., _TAIL:_EXP] = digits
-    cells[..., _EXP + 1:_SEP] = np.take(exponent_text, k - _K_MIN, axis=0)
-    int_digits = np.take(quads, _digit_groups(np.where(counted, m, 0))).view(np.uint8)
+    cells[..., _EXP + 1:_SEP] = np.take(exponent_text, index, axis=0, out=ws.exponent_text, mode="clip")
+    m_groups = _digit_groups(np.maximum(m, 0, out=ws.m), ws.m_groups)
+    int_digits = np.take(quads, m_groups, out=ws.m_quads, mode="clip").view(np.uint8)
     chars[:, 0, _INT_DIGITS:_INT_DIGITS + 19] = int_digits[..., 1:]
     _printf_cells(x, proven, "%.17g", cells, printed[:, 1:])
     _printf_cells(m, counted, "%d", chars[:, 0], printed[:, 0])
     chars[:, -1, _SEP] = ord("\n")
-    return chars.ravel()[printed.ravel()].tobytes().decode("ascii")
+    return str(chars.ravel()[printed.ravel()], "ascii")
 
 
 def _printf_cells(values, proven, fmt, chars, printed) -> None:

@@ -703,6 +703,11 @@ def printf_text(columns, analysis):
     return "".join(line + "\n" for line in map(row.__mod__, zip(*cells)))
 
 
+def decimal_parts(floats):
+    """``_decimal_parts`` of a (rows, columns) float array, in a workspace made for it."""
+    return csvrows._decimal_parts(floats, csvrows._Workspace(*floats.shape))
+
+
 class TestRecordRows:
     """The rows of an analysis are the bytes '%d' and '%.17g' write, cell for cell."""
 
@@ -755,7 +760,8 @@ class TestRecordRows:
         # The array passes write the same rows.
         m = analysis.m
         floats = np.stack([getattr(analysis, name) for name in names[1:]], axis=1)
-        assert csvrows._array_rows(m, floats) == "".join(line + "\n" for line in expected)
+        workspace = csvrows._Workspace(*floats.shape)
+        assert csvrows._array_rows(m, floats, workspace) == "".join(line + "\n" for line in expected)
         # A one-row analysis gives its one row, 2**40 and 10**17 among the sector counts.
         for row, line in zip(rows, expected):
             one_row = DetectionAnalysis(*(np.array([cell]) for cell in row))
@@ -777,7 +783,7 @@ class TestRecordRows:
         columns = FLOAT_COLUMNS
         assert "".join(csvrows.record_blocks(columns, analysis)) == printf_text(columns, analysis)
         # The array passes, not '%.17g', write nearly every cell.
-        proven, _, _ = csvrows._decimal_parts(floats)
+        proven, _, _ = decimal_parts(floats)
         assert proven.mean() > 0.99
 
     def test_named_values_match_printf(self):
@@ -795,18 +801,20 @@ class TestRecordRows:
 
     def test_unprovable_cells_are_left_to_printf(self):
         unprovable = [2.0**-25, 3 * 2.0**-25, 0.0, -0.0, math.inf, -math.inf, math.nan]
-        proven, _, _ = csvrows._decimal_parts(np.array(unprovable))
+        proven, _, _ = decimal_parts(np.array([unprovable]))
         assert not proven.any()
-        proven, digits, exponents = csvrows._decimal_parts(np.array([0.1, -2.5e-300, 1e300]))
+        proven, digits, exponents = decimal_parts(np.array([[0.1, -2.5e-300, 1e300]]))
         assert proven.all()
-        assert digits.tolist() == [10000000000000001, 25000000000000000, 10000000000000001]
-        assert exponents.tolist() == [-1, -300, 300]
+        assert digits.tolist() == [[10000000000000001, 25000000000000000, 10000000000000001]]
+        assert exponents.tolist() == [[-1, -300, 300]]
 
     @pytest.mark.parametrize(
         "rows",
-        [1, 47, 48, csvrows._BLOCK_ROWS - 1, csvrows._BLOCK_ROWS, csvrows._BLOCK_ROWS + 1],
+        [1, 47, 48, csvrows._BLOCK_ROWS - 1, csvrows._BLOCK_ROWS, csvrows._BLOCK_ROWS + 1,
+         2 * csvrows._BLOCK_ROWS + 1],
     )
     def test_curve_lengths_around_the_block(self, rows):
+        # Three blocks and more reuse one workspace: each block is still its own text.
         rng = np.random.default_rng(rows)
         analysis = analysis_of(np.arange(1, rows + 1), rng.lognormal(0.0, 40.0, (rows, 8)))
         pieces = list(csvrows.record_blocks(cli.SWEEP_HEADER, analysis))
@@ -815,20 +823,65 @@ class TestRecordRows:
             min(csvrows._BLOCK_ROWS, rows - start) for start in range(0, rows, csvrows._BLOCK_ROWS)
         ]
 
-    @pytest.mark.parametrize("rows", [2**12, 2**17])
-    def test_writing_a_curve_holds_one_block(self, tmp_path, rows):
-        # Writing every row's text and then their join peaked at 61 MB for 2**17 rows.
+    @staticmethod
+    def writing_peak(out, rows):
+        """The traced peak of writing a curve of ``rows`` random rows to ``out``."""
         rng = np.random.default_rng(rows)
         curve = SweepCurve(analysis_of(np.arange(1, rows + 1), rng.random((rows, 8))), 1, 0.5)
-        out = tmp_path / "curve.csv"
         tracemalloc.start()
         try:
             cli._write_atomic([(str(out), cli._curve_pieces(curve, with_minimizer=True))])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * 2**20
         assert out.read_text().count("\n") == rows + 2
+        return peak
+
+    @pytest.mark.parametrize("rows", [2**12, 2**17])
+    def test_writing_a_curve_holds_one_block(self, tmp_path, rows):
+        # Writing every row's text and then their join peaked at 61 MB for 2**17 rows.
+        peak = self.writing_peak(tmp_path / "curve.csv", rows)
+        assert peak < 4 * 2**20
+        # One workspace serves every block: it does not grow with the curve.
+        assert peak <= 1.05 * self.writing_peak(tmp_path / "short.csv", 2**12)
+
+
+class TestPageFaults:
+    """A curve written again in the same process faults in no fresh memory.
+
+    Outside ``TestRecordRows``: the oldest-numpy job selects that class for
+    its byte checks, and this count is the allocator's, not the bytes'.
+    """
+
+    # A fresh process runs the large-array optimize three times and counts the
+    # minor page faults of the third. The first call maps the curve's
+    # workspace and unmaps it, which raises glibc's mmap threshold; the second
+    # takes the workspace from a heap grown for it (about 300 faults); from
+    # then on every block reuses memory already in place. Freeing each
+    # block's arrays instead cost about 1,800 faults per call.
+    FAULTS = """if True:
+        import contextlib, io, resource, sys
+        from beamsweep import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            for _ in range(2):
+                assert cli.main(sys.argv[1:]) == 0
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert cli.main(sys.argv[1:]) == 0
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        print(after - before)
+    """
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults as Linux does")
+    def test_a_repeated_large_curve_faults_in_no_memory(self, tmp_path):
+        argv = ["optimize", "--config", FIG3_CFG, *LARGE_ARRAY, "--out", str(tmp_path / "curve.csv")]
+        dev_mode = ["-X", "dev"] if sys.flags.dev_mode else []
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, *dev_mode, "-c", self.FAULTS, *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 100
 
 
 class TestCrossCommand:
