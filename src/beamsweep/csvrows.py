@@ -81,9 +81,9 @@ class _Workspace:
 
     They are views of one buffer, made once per curve: freeing a block's
     arrays and making the next one's would return memory to the system and
-    fault it in again, block after block. Every pass overwrites what it
-    reads, so nothing carries over from one block to the next, and
-    ``carve`` lays out a shorter block's arrays in the same buffer.
+    fault it in again, block after block. A block's passes write each array
+    before they read it, so nothing carries over from one block to the
+    next, and ``carve`` lays out a shorter block's arrays in the same buffer.
     """
 
     def __init__(self, rows: int, floats: int, memory: np.ndarray | None = None) -> None:
