@@ -8,19 +8,19 @@ count and '%.17g' for every float, the routine ``presets.format_value`` runs.
 A float x != 0 is written by '%.17g' from its 17 significant digits: the
 integer D = round(|x| * 10**(16 - k)) in [10**16, 10**17), rounded half to
 even, with k = floor(log10 |x|) (and D = 10**16 at k + 1 when the rounding
-reaches 10**17). _decimal_parts finds D and k for a whole array at once,
-and every cell's text is then one row of slots: a table gives, for the
-cell's sign, layout (fixed at each exponent from -4 to 16, or scientific
-with a two- or three-digit exponent) and digit count, the constant
-characters and which slots are printed. The printed slots of a block, in
-order, are its text.
+reaches 10**17). _decimal_parts finds D and k for a whole array at once.
+Every cell is then _SLOTS bytes of one array, NUL in each slot it does not
+print. A table gives, for the cell's sign, layout and digit count, its
+sign, "0." and zeros, and a mask that puts D's digits and the point in its
+digit slots; a table over k gives the exponent. A block's text is its slots
+less every NUL, one ``bytes.translate``.
 
 The passes over a block write into one workspace (``_Workspace``), made once
 per curve and reused by each of its blocks. Arrays made and freed block by
 block are too large for the C allocator to keep: it returned their memory
 to the system, and every block faulted it in again, about 1,800 minor page
 faults for a 4,096-row curve. A block is _BLOCK_ROWS = 512 rows, which holds
-the workspace of an eight-column curve to 1.1 MB.
+the workspace of an eight-column curve to 1.05 MB.
 """
 
 from __future__ import annotations
@@ -41,15 +41,15 @@ _Q_MIN, _Q_MAX = 16 - _K_MAX, 16 - _K_MIN  # the powers 10**(16 - k) they need
 # fraction lies this far from 1/2; the product errs by less than 2**-45.
 _TIE_MARGIN = 2.0**-32
 _FORMS = 25  # layouts by exponent: see _form
-# Slots of a cell: sign, "0." and three zeros of a fixed form below 1, the
-# digits before the point, the point, the digits after it, "e", the exponent's
-# sign and three digits, and the separator. An integer's digits take the 19
-# slots from _INT_DIGITS.
-_SLOTS = 47
-_LEAD, _POINT, _TAIL, _EXP, _SEP = 6, 23, 24, 41, 46
-_INT_DIGITS = 4
+# A cell's slots, four uint64 words: the sign, "0." and three zeros (_LEAD),
+# the 17 digits and the point or an integer's digits (_DIGITS), and a word of
+# "e", the exponent's sign and digits, and the separator (_SEP). A digit mask
+# takes the next digit byte (_SHIFTED) or the same (_IN_PLACE).
+_SLOTS = 32
+_LEAD, _DIGITS, _EXP, _SEP = 1, 6, 24, 31
+_SHIFTED, _IN_PLACE = 0x80, 0x7F
 _INT_KEYS = 2 * _FORMS * 17  # an integer's layout key follows the float keys
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+_POWERS_OF_TEN = 10 ** np.arange(1, 18, dtype=np.int64)
 
 
 def record_blocks(columns: str, analysis: DetectionAnalysis) -> Iterator[str]:
@@ -60,17 +60,15 @@ def record_blocks(columns: str, analysis: DetectionAnalysis) -> Iterator[str]:
     '%d' writes it, and every other column is written as '%.17g' writes it,
     the routine ``format_value`` runs. Every row ends in a newline. A block
     is made only when the previous one has been consumed, so the text of one
-    block at a time is held. The passes over every block write into one
-    workspace, made for the curve's first block; the last, shorter block
-    lays its arrays out in the same memory. Each block is a new string, not
-    a view of the workspace.
+    block at a time is held. Every block's passes write into one workspace,
+    whose memory a shorter last block reuses. Each block is a new string.
     """
     cells = [getattr(analysis, name) for name in columns.split(",")]
     rows = len(cells[0])
     workspace = _Workspace(min(_BLOCK_ROWS, rows), len(cells) - 1)
     for start in range(0, rows, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        ws = workspace if start + _BLOCK_ROWS <= rows else workspace.carve(rows - start)
+        block, rest = slice(start, start + _BLOCK_ROWS), rows - start
+        ws = workspace if rest >= len(workspace.x) else _Workspace(rest, len(cells) - 1, workspace.memory)
         for x, column in zip(ws.x.T, cells[1:]):
             x[:] = column[block]
         yield _array_rows(cells[0][block], ws.x, ws)
@@ -79,50 +77,43 @@ def record_blocks(columns: str, analysis: DetectionAnalysis) -> Iterator[str]:
 class _Workspace:
     """The arrays the passes over one block of ``rows`` rows and ``floats`` float columns write into.
 
-    They are views of one buffer, made once per curve: freeing a block's
-    arrays and making the next one's would return memory to the system and
-    fault it in again, block after block. A block's passes write each array
-    before they read it, so nothing carries over from one block to the
-    next, and ``carve`` lays out a shorter block's arrays in the same buffer.
+    They are views of one buffer, ``memory``, made once per curve; the
+    slots, ``chars``, view the bytearray ``text``. A block's passes write
+    each array before they read it, so nothing carries over between blocks.
     """
 
     def __init__(self, rows: int, floats: int, memory: np.ndarray | None = None) -> None:
-        cells, line = (rows, floats), (rows, 1 + floats)
-        layout = {
-            "x": (cells, np.float64),  # the block's float columns
-            "reals": ((9,) + cells, np.float64),  # _decimal_parts' intermediates
-            "e": (cells, np.intc),
-            "k": (cells, np.int64),
-            "d": (cells, np.int64),
-            "index": (cells, np.int64),
-            "scratch": (cells, np.int64),
-            "zeros": (cells, np.int64),
-            "proven": (cells, bool),
-            "flag": (cells, bool),
-            "groups": (cells + (5,), np.int64),
-            "quads": (cells + (5,), np.uint32),
-            "exponent_text": (cells + (4,), np.uint8),
-            "m": ((rows,), np.int64),
-            "counted": ((rows,), bool),
-            "m_groups": ((rows, 5), np.int64),
-            "m_quads": ((rows, 5), np.uint32),
-            "keys": (line, np.int64),
-            "chars": (line + (_SLOTS,), np.uint8),
-            "printed": (line + (_SLOTS,), bool),
-        }
-        # Each array starts a multiple of 64 bytes into the buffer, aligned for its dtype.
-        sizes = [
-            -(-math.prod(shape) * np.dtype(dtype).itemsize // 64) * 64 for shape, dtype in layout.values()
-        ]
-        self.memory = np.empty(sum(sizes), np.uint8) if memory is None else memory
-        offset = 0
-        for (name, (shape, dtype)), size in zip(layout.items(), sizes):
+        arrays, size = _workspace_layout(rows, floats)
+        self.memory = np.empty(size, np.uint8) if memory is None else memory
+        for name, shape, dtype, offset in arrays:
             setattr(self, name, np.ndarray(shape, dtype, self.memory, offset))
-            offset += size
+        self.text = bytearray(rows * (1 + floats) * _SLOTS)
+        self.chars = np.ndarray((rows, 1 + floats, _SLOTS), np.uint8, self.text)
 
-    def carve(self, rows: int) -> _Workspace:
-        """The arrays of a block of fewer rows, in the same memory."""
-        return _Workspace(rows, self.x.shape[1], self.memory)
+
+@functools.lru_cache(maxsize=8)
+def _workspace_layout(rows: int, floats: int) -> tuple[tuple, int]:
+    """(name, shape, dtype, offset) of each array of a ``_Workspace``, and its size."""
+    cells, line = (rows, floats), (rows, 1 + floats)
+    arrays, offset = [], 0
+    for name, shape, dtype in (
+        ("x", cells, np.float64),  # the float columns
+        ("reals", (9,) + cells, np.float64),  # _decimal_parts' intermediates
+        ("e", cells, np.intc),
+        ("ints", (4,) + cells, np.int64),  # k, D, then k's index and the keys
+        ("bools", (2,) + cells, bool),
+        ("counted", (rows,), bool),
+        ("groups", (5,) + line, np.int64),  # then the digit slots
+        ("line_ints", (4,) + line, np.int64),  # products, then zeros and keys
+        ("at_run", line, bool),
+        ("digits", line + (5,), np.uint32),  # the quads cell by cell
+        ("masks", line + (20,), np.uint8),  # quads by group, then masks
+        ("exponent_words", cells, np.uint64),
+    ):
+        dtype = np.dtype(dtype)
+        arrays.append((name, shape, dtype, offset))
+        offset += -(-math.prod(shape) * dtype.itemsize // 64) * 64  # aligned for any dtype
+    return tuple(arrays), offset
 
 
 @functools.cache
@@ -173,13 +164,12 @@ def _form(k: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(characters, printed) slots of every layout key; the key part and exponent text of each k.
+    """(template, digit mask) of every layout key; the key part and exponent word of each k.
 
     A float's key is (sign * _FORMS + form) * 17 + digits - 1, with the form
     from ``_form``; the table over k from _K_MIN to _K_MAX holds form * 17,
-    and each form's layout is built at its smallest k. An integer's key
-    is _INT_KEYS + its digit count. The exponent's sign and three digits are
-    data, not layout, and come from their own table over k.
+    and each form's layout is built at its smallest k. An integer's key is
+    _INT_KEYS + its digit count - 1. The exponent is data, not layout.
     """
     exponents = np.arange(_K_MIN, _K_MAX + 1)
     forms = _form(exponents)
@@ -191,29 +181,24 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     sci = (k < -4) | (k >= 17)
     below_one = (k < 0) & ~sci
     whole = np.where(below_one, 0, np.where(sci, 1, k + 1))  # digits before the point
-    shown = np.maximum(count, whole)  # digits printed; a fixed form keeps its units
-    lead = np.where(below_one, shown, whole)
-    slots = np.arange(17)
-    printed = np.zeros((_INT_KEYS + 20, _SLOTS), bool)
-    floats = printed[:_INT_KEYS]
-    floats[:, 0] = sign
-    floats[:, 1] = floats[:, 2] = below_one
-    floats[:, 3:6] = np.arange(3) < np.where(below_one, -1 - k, 0)[:, None]
-    floats[:, _LEAD:_POINT] = slots < lead[:, None]
-    floats[:, _POINT] = ~below_one & (shown > whole)
-    floats[:, _TAIL:_EXP] = (slots >= lead[:, None]) & (slots < shown[:, None])
-    floats[:, _EXP:_SEP] = sci[:, None]
-    floats[:, _EXP + 2] &= np.abs(k) >= 100
-    printed[_INT_KEYS:, _INT_DIGITS:_INT_DIGITS + 19] = np.arange(19) >= 19 - np.arange(20)[:, None]
-    printed[:, _SEP] = True
-    template = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 17 + b"e+000,", np.uint8)
-    chars = np.tile(template, (len(printed), 1))
-    size = np.abs(exponents)
-    exponent_text = np.stack(
-        [np.where(exponents < 0, ord("-"), ord("+")), size // 100, size // 10 % 10, size % 10],
-        axis=1,
-    ) + [0, ord("0"), ord("0"), ord("0")]
-    return chars, printed, forms * 17, exponent_text.astype(np.uint8)
+    shown = np.maximum(count, whole)[:, None]  # digits printed; a fixed form keeps its units
+    lead = np.where(below_one, shown[:, 0], whole)[:, None]  # slots before the point
+    templates = np.zeros((_INT_KEYS + 18, _SLOTS), np.uint8)
+    templates[:_INT_KEYS, 0] = sign * ord("-")
+    prefix = below_one[:, None] & (np.arange(5) < 1 - k[:, None])  # "0." and -1 - k zeros
+    templates[:_INT_KEYS, _LEAD:_DIGITS] = prefix * np.frombuffer(b"0.000", np.uint8)
+    templates[:, _SEP] = ord(",")
+    # Slot j is mask byte 2 + j: digit j before the point, j - 1 after it.
+    slot = np.arange(18)
+    masks = np.zeros((_INT_KEYS + 18, 20), np.uint8)
+    floats = masks[:_INT_KEYS, 2:]
+    floats[slot < lead] = _SHIFTED
+    floats[(slot == lead) & (shown > lead)] = ord(".")
+    floats[(slot > lead) & (slot <= shown)] = _IN_PLACE
+    masks[_INT_KEYS:, 2:] = (slot >= 17 - np.arange(18)[:, None]) * _IN_PLACE
+    words = [("e%+03d," % k if k < -4 or k >= 17 else ",").encode() for k in exponents.tolist()]
+    words = b"".join(word.rjust(8, b"\0") for word in words)  # slots _EXP to _SEP
+    return templates, masks, forms * 17, np.frombuffer(words, np.uint64)
 
 
 def _decimal_parts(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,8 +221,8 @@ def _decimal_parts(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarra
     intermediate, are arrays of the workspace ``ws``, sized for ``x``.
     """
     ax, mant, m_high, m_low, h_high, h_low, p, err, t = ws.reals
-    proven, flag = ws.proven, ws.flag
-    k, d, row, bits = ws.k, ws.d, ws.index, ws.scratch
+    proven, flag = ws.bools
+    k, d, row, bits = ws.ints
     np.abs(x, out=ax)
     np.isfinite(ax, out=proven)
     proven &= np.greater(ax, 0.0, out=flag)
@@ -283,71 +268,73 @@ def _decimal_parts(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarra
     return proven, d, k
 
 
-def _digit_groups(v: np.ndarray, groups: np.ndarray) -> np.ndarray:
-    """Non-negative int64 v as five groups of decimal digits: v // 10**16, then four of four.
+def _digit_groups(groups: np.ndarray, products: np.ndarray) -> None:
+    """Non-negative int64 v in ``groups[4]`` as v // 10**16, then four groups of four digits.
 
-    The groups are written to ``groups``, of shape v.shape + (5,), and returned.
+    ``groups`` is (5,) + v.shape, ``products`` (4,) + v.shape scratch, and
+    each pass runs over whole, contiguous groups.
     """
-    upper, high, low, lower = (groups[..., i] for i in (1, 2, 3, 4))
-    np.divmod(v, 10**8, out=(upper, low))
-    np.divmod(upper, 10**8, out=(groups[..., 0], upper))
-    np.divmod(upper, 10**4, out=(upper, high))
-    np.divmod(low, 10**4, out=(low, lower))
-    return groups
+    for i, power in enumerate((10**16, 10**12, 10**8, 10**4)):
+        np.floor_divide(groups[4], power, out=groups[i])
+    groups[1:] -= np.multiply(groups[:4], 10**4, out=products)  # from v // 10**(16 - 4i)
 
 
 def _array_rows(m: np.ndarray, x: np.ndarray, ws: _Workspace) -> str:
     """The CSV rows of sector counts ``m`` (n,) and float columns ``x`` (n, c), in array passes.
 
-    The passes write into the workspace ``ws``, sized for n rows of c floats;
-    the rows are a new string. The bytes are those of the printf formats by
-    construction: a cell the array passes cannot prove (see
-    ``_decimal_parts``; for ``m``, a negative count) is formatted by '%.17g'
-    or '%d' itself and its text put in its slots.
+    The passes write into the workspace ``ws``, sized for n rows of c floats.
+    The bytes are those of the printf formats by construction: a cell the
+    array passes cannot prove (see ``_decimal_parts``; for ``m``, one below 0
+    or of 19 digits) is formatted by '%.17g' or '%d' itself, in its slots.
+
+    A cell's digits are five quads, 20 ASCII bytes: a float's 17 from byte
+    3, an integer's 18 from byte 2. Over all cells as flat bytes, slot byte b
+    is the minimum of digit byte b and mask byte b less _SHIFTED, or of digit
+    byte b + 1 and its _SHIFTED bit: as digits are 0x30 to 0x39, the digit
+    the mask passes, the point it holds, or NUL.
     """
     quads, trailing = _quad_digits()
-    chars_of, printed_of, form_keys, exponent_text = _layouts()
+    templates, masks_of, form_keys, exponent_words = _layouts()
     proven, d, k = _decimal_parts(x, ws)
-    groups = _digit_groups(d, ws.groups)
-    zeros, flag, index = ws.zeros, ws.flag, ws.index
-    np.take(trailing, groups[..., 4], out=zeros, mode="clip")  # trailing zeros of D, four digits at a time
-    for group, run in ((3, 4), (2, 8), (1, 12)):
-        np.add(zeros, np.take(trailing, groups[..., group], out=ws.scratch, mode="clip"), out=zeros,
-               where=np.equal(zeros, run, out=flag))
     m = m.astype(np.int64, copy=False)
-    counted = np.greater_equal(m, 0, out=ws.counted)
-    keys = ws.keys
-    keys[:, 0] = np.searchsorted(_POWERS_OF_TEN, m, side="right")
-    keys[:, 0] += _INT_KEYS + 1
-    np.subtract(k, _K_MIN, out=index)
-    float_keys = np.take(form_keys, index, out=ws.scratch, mode="clip")
+    counted = np.less(m.view(np.uint64), 10**18, out=ws.counted)  # a negative m wraps above
+    groups = ws.groups
+    np.multiply(m, counted, out=groups[4][:, 0])
+    groups[4][:, 1:] = d
+    _digit_groups(groups, ws.line_ints)
+    zeros, more, keys, _ = ws.line_ints
+    np.take(trailing, groups[4], out=zeros, mode="clip")  # trailing zeros of D, four digits at a time
+    for group, run in ((3, 4), (2, 8), (1, 12)):
+        np.add(zeros, np.take(trailing, groups[group], out=more, mode="clip"), out=zeros,
+               where=np.equal(zeros, run, out=ws.at_run))
+    keys[:, 0] = np.searchsorted(_POWERS_OF_TEN, m, side="right") + _INT_KEYS
+    index = np.subtract(k, _K_MIN, out=ws.ints[2])
+    float_keys = np.take(form_keys, index, out=ws.ints[3], mode="clip")
     float_keys += 16
-    float_keys -= zeros
-    np.add(float_keys, _FORMS * 17, out=float_keys, where=np.signbit(x, out=flag))
+    float_keys -= zeros[:, 1:]
+    np.add(float_keys, _FORMS * 17, out=float_keys, where=np.signbit(x, out=ws.bools[1]))
     keys[:, 1:] = float_keys
-    chars = np.take(chars_of, keys, axis=0, out=ws.chars, mode="clip")
-    printed = np.take(printed_of, keys, axis=0, out=ws.printed, mode="clip")
-
-    cells = chars[:, 1:]
-    digits = np.take(quads, groups, out=ws.quads, mode="clip").view(np.uint8)[..., 3:]
-    cells[..., _LEAD:_POINT] = digits
-    cells[..., _TAIL:_EXP] = digits
-    cells[..., _EXP + 1:_SEP] = np.take(exponent_text, index, axis=0, out=ws.exponent_text, mode="clip")
-    m_groups = _digit_groups(np.maximum(m, 0, out=ws.m), ws.m_groups)
-    int_digits = np.take(quads, m_groups, out=ws.m_quads, mode="clip").view(np.uint8)
-    chars[:, 0, _INT_DIGITS:_INT_DIGITS + 19] = int_digits[..., 1:]
-    _printf_cells(x, proven, "%.17g", cells, printed[:, 1:])
-    _printf_cells(m, counted, "%d", chars[:, 0], printed[:, 0])
+    chars = np.take(templates, keys, axis=0, out=ws.chars, mode="clip")
+    by_group = np.take(quads, groups, out=ws.masks.view(np.uint32).reshape(groups.shape), mode="clip")
+    np.copyto(ws.digits, by_group.transpose(1, 2, 0))
+    digits = ws.digits.view(np.uint8).reshape(-1)
+    mask = np.take(masks_of, keys, axis=0, out=ws.masks, mode="clip").reshape(-1)
+    slots = groups.view(np.uint8).reshape(-1)[: mask.size]  # the groups are spent
+    np.minimum(digits, np.bitwise_and(mask, _IN_PLACE, out=slots), out=slots)
+    mask &= _SHIFTED
+    slots[:-1] |= np.minimum(digits[1:], mask[:-1], out=mask[:-1])
+    chars[..., _DIGITS:_EXP] = slots.reshape(ws.masks.shape)[..., 2:]
+    chars.view(np.uint64)[:, 1:, -1] = np.take(exponent_words, index, out=ws.exponent_words, mode="clip")
+    _printf_cells(x, proven, "%.17g", chars[:, 1:])
+    _printf_cells(m, counted, "%d", chars[:, 0])
     chars[:, -1, _SEP] = ord("\n")
-    return str(chars.ravel()[printed.ravel()], "ascii")
+    return str(ws.text.translate(None, b"\0"), "ascii")
 
 
-def _printf_cells(values, proven, fmt, chars, printed) -> None:
-    """Put the printf text of every unproven value in its cell's leading slots."""
+def _printf_cells(values, proven, fmt, chars) -> None:
+    """Put the printf text of every unproven value in its cell's leading slots, NUL after it."""
+    if proven.all():
+        return
     where = np.nonzero(~proven)
-    if where[0].size:
-        texts = [(fmt % v).encode() for v in values[where].tolist()]
-        lengths = np.array([len(text) for text in texts])
-        chars[where + (slice(0, _SEP),)] = np.array(texts, f"S{_SEP}").view(np.uint8).reshape(-1, _SEP)
-        slots = np.arange(_SLOTS)
-        printed[where] = (slots < lengths[:, None]) | (slots == _SEP)
+    texts = [(fmt % v).encode() for v in values[where].tolist()]
+    chars[where + (slice(0, _SEP),)] = np.array(texts, f"S{_SEP}").view(np.uint8).reshape(-1, _SEP)

@@ -808,6 +808,69 @@ class TestRecordRows:
         assert digits.tolist() == [[10000000000000001, 25000000000000000, 10000000000000001]]
         assert exponents.tolist() == [[-1, -300, 300]]
 
+    @staticmethod
+    def layout_key(text):
+        """The layout key of a nonzero finite float from its '%.17g' text: sign, form and digit count."""
+        mantissa, _, exponent = text.lstrip("-").partition("e")
+        digits = mantissa.replace(".", "")
+        if exponent:
+            k = int(exponent)
+        elif mantissa.startswith("0"):
+            k = -(len(digits) - len(digits.lstrip("0")))
+        else:
+            k = len(mantissa.partition(".")[0]) - 1
+        form = int(csvrows._form(np.array(k)))
+        return (text.startswith("-") * csvrows._FORMS + form) * 17 + len(digits.strip("0")) - 1
+
+    def test_every_layout_key_matches_printf(self):
+        # The random fuzz need not reach a rare key, such as one digit with a
+        # negative three-digit exponent. Here: for each form, at one or more of
+        # its exponents k, and each digit count c, c-digit decimals 1 0...0 t
+        # at k; the nearest double rounds back to c digits often enough that
+        # every key is hit.
+        exponents = [*range(-4, 17), -5, -99, -100, -307, 17, 99, 100, 308]
+        floats = np.array([
+            float(f"{10 ** (count - 1) + t}e{k - count + 1}")
+            for k in exponents for count in range(1, 18) for t in range(20)
+            if (10 ** (count - 1) + t) % 10 and 10 ** (count - 1) + t < 10**count
+        ])
+        floats = np.concatenate([floats, -floats])
+        # Integers of every digit count from 1 to 19. One of 19 digits has no
+        # key: the digit slots hold 18, and '%d' writes it.
+        counts = np.array([
+            v for c in range(1, 20) for v in (10 ** (c - 1), 3 * 10 ** (c - 1) + 7, min(10**c - 1, 2**63 - 1))
+        ])
+        proven, _, _ = decimal_parts(floats[:, None])
+        keys = {self.layout_key(text) for text in map("%.17g".__mod__, floats[proven[:, 0]].tolist())}
+        keys |= {csvrows._INT_KEYS + len(str(m)) - 1 for m in counts.tolist() if m < 10**18}
+        assert keys == set(range(len(csvrows._layouts()[0])))
+        floats = np.resize(floats, (-(-floats.size // 8), 8))  # wraps round to fill the last row
+        analysis = analysis_of(np.resize(counts, len(floats)), floats)
+        assert "".join(csvrows.record_blocks(FLOAT_COLUMNS, analysis)) == printf_text(
+            FLOAT_COLUMNS, analysis
+        )
+
+    @pytest.mark.parametrize(
+        "rows, workspaces",
+        [(1, 1), (67, 1), (csvrows._BLOCK_ROWS, 1), (2 * csvrows._BLOCK_ROWS, 1),
+         (csvrows._BLOCK_ROWS + 1, 2)],
+    )
+    def test_one_workspace_per_curve(self, monkeypatch, rows, workspaces):
+        # Only the shorter last block of a longer curve lays its arrays out again.
+        made = []
+        init = csvrows._Workspace.__init__
+
+        def counting_init(ws, *args):
+            made.append(args)
+            init(ws, *args)
+
+        monkeypatch.setattr(csvrows._Workspace, "__init__", counting_init)
+        analysis = analysis_of(np.arange(1, rows + 1), np.full((rows, 8), 0.5))
+        assert "".join(csvrows.record_blocks(cli.SWEEP_HEADER, analysis)) == printf_text(
+            cli.SWEEP_HEADER, analysis
+        )
+        assert len(made) == workspaces
+
     @pytest.mark.parametrize(
         "rows",
         [1, 47, 48, csvrows._BLOCK_ROWS - 1, csvrows._BLOCK_ROWS, csvrows._BLOCK_ROWS + 1,
