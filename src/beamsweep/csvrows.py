@@ -15,18 +15,16 @@ sign, "0." and zeros, and a mask that puts D's digits and the point in its
 digit slots; a table over k gives the exponent. A block's text is its slots
 less every NUL, one ``bytes.translate``.
 
-The passes over a block write into one workspace (``_Workspace``), made once
-per curve and reused by each of its blocks. Arrays made and freed block by
-block are too large for the C allocator to keep: it returned their memory
-to the system, and every block faulted it in again, about 1,800 minor page
-faults for a 4,096-row curve. A block is _BLOCK_ROWS = 512 rows, which holds
-the workspace of an eight-column curve to 1.05 MB.
+The passes over a block write into one workspace of plain arrays
+(``_Workspace``), made once per curve and reused by each full block; a
+shorter last block gets its own once that one is dropped. A new workspace
+per block, made while the last was held, cost 250-870 minor page faults per
+4,096-row curve. At _BLOCK_ROWS = 512, an eight-column workspace is 1.05 MB.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Iterator
 
 import numpy as np
@@ -60,60 +58,42 @@ def record_blocks(columns: str, analysis: DetectionAnalysis) -> Iterator[str]:
     '%d' writes it, and every other column is written as '%.17g' writes it,
     the routine ``format_value`` runs. Every row ends in a newline. A block
     is made only when the previous one has been consumed, so the text of one
-    block at a time is held. Every block's passes write into one workspace,
-    whose memory a shorter last block reuses. Each block is a new string.
+    block at a time is held, and one workspace. Each block is a new string.
     """
-    cells = [getattr(analysis, name) for name in columns.split(",")]
-    rows = len(cells[0])
-    workspace = _Workspace(min(_BLOCK_ROWS, rows), len(cells) - 1)
-    for start in range(0, rows, _BLOCK_ROWS):
-        block, rest = slice(start, start + _BLOCK_ROWS), rows - start
-        ws = workspace if rest >= len(workspace.x) else _Workspace(rest, len(cells) - 1, workspace.memory)
-        for x, column in zip(ws.x.T, cells[1:]):
-            x[:] = column[block]
-        yield _array_rows(cells[0][block], ws.x, ws)
+    m, *floats = [getattr(analysis, name) for name in columns.split(",")]
+    for start in range(0, len(m), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        if start == 0 or len(m[block]) < _BLOCK_ROWS:
+            ws = None  # the full blocks' workspace goes before the last block's is made
+            ws = _Workspace(len(m[block]), len(floats))
+        for i, column in enumerate(floats):
+            ws.x[:, i] = column[block]
+        yield _array_rows(m[block], ws.x, ws)
 
 
 class _Workspace:
     """The arrays the passes over one block of ``rows`` rows and ``floats`` float columns write into.
 
-    They are views of one buffer, ``memory``, made once per curve; the
-    slots, ``chars``, view the bytearray ``text``. A block's passes write
-    each array before they read it, so nothing carries over between blocks.
+    Made once per curve; the slots, ``chars``, view ``text``. A block's passes
+    write each array before they read it, so nothing carries over between blocks.
     """
 
-    def __init__(self, rows: int, floats: int, memory: np.ndarray | None = None) -> None:
-        arrays, size = _workspace_layout(rows, floats)
-        self.memory = np.empty(size, np.uint8) if memory is None else memory
-        for name, shape, dtype, offset in arrays:
-            setattr(self, name, np.ndarray(shape, dtype, self.memory, offset))
+    def __init__(self, rows: int, floats: int) -> None:
+        cells, line = (rows, floats), (rows, 1 + floats)
+        self.x = np.empty(cells)  # the float columns
+        self.reals = np.empty((9,) + cells)  # _decimal_parts' intermediates
+        self.e = np.empty(cells, np.intc)
+        self.ints = np.empty((4,) + cells, np.int64)  # k, D, then k's index and the keys
+        self.bools = np.empty((2,) + cells, bool)
+        self.counted = np.empty(rows, bool)
+        self.groups = np.empty((5,) + line, np.int64)  # then the digit slots
+        self.line_ints = np.empty((4,) + line, np.int64)  # products, then zeros and keys
+        self.at_run = np.empty(line, bool)
+        self.digits = np.empty(line + (5,), np.uint32)  # the quads cell by cell
+        self.masks = np.empty(line + (20,), np.uint8)  # quads by group, then masks
+        self.exponent_words = np.empty(cells, np.uint64)
         self.text = bytearray(rows * (1 + floats) * _SLOTS)
-        self.chars = np.ndarray((rows, 1 + floats, _SLOTS), np.uint8, self.text)
-
-
-@functools.lru_cache(maxsize=8)
-def _workspace_layout(rows: int, floats: int) -> tuple[tuple, int]:
-    """(name, shape, dtype, offset) of each array of a ``_Workspace``, and its size."""
-    cells, line = (rows, floats), (rows, 1 + floats)
-    arrays, offset = [], 0
-    for name, shape, dtype in (
-        ("x", cells, np.float64),  # the float columns
-        ("reals", (9,) + cells, np.float64),  # _decimal_parts' intermediates
-        ("e", cells, np.intc),
-        ("ints", (4,) + cells, np.int64),  # k, D, then k's index and the keys
-        ("bools", (2,) + cells, bool),
-        ("counted", (rows,), bool),
-        ("groups", (5,) + line, np.int64),  # then the digit slots
-        ("line_ints", (4,) + line, np.int64),  # products, then zeros and keys
-        ("at_run", line, bool),
-        ("digits", line + (5,), np.uint32),  # the quads cell by cell
-        ("masks", line + (20,), np.uint8),  # quads by group, then masks
-        ("exponent_words", cells, np.uint64),
-    ):
-        dtype = np.dtype(dtype)
-        arrays.append((name, shape, dtype, offset))
-        offset += -(-math.prod(shape) * dtype.itemsize // 64) * 64  # aligned for any dtype
-    return tuple(arrays), offset
+        self.chars = np.ndarray(line + (_SLOTS,), np.uint8, self.text)
 
 
 @functools.cache

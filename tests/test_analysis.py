@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from beamsweep import analysis, core
 from beamsweep.analysis import (
@@ -158,6 +159,15 @@ class TestKlDivergence:
     @pytest.mark.parametrize("phi", PHI_GRID)
     def test_nonnegative(self, phi):
         assert kl_divergence_exact(4.0, phi) > 0.0
+
+    def test_relative_accuracy_at_low_snr(self):
+        # ln(1+phi) - phi/(1+phi) cancels: it was 0.18 off at phi = 1e-15.
+        phis = np.logspace(-15.0, -3.0, 25)
+        with mp.workdps(50):
+            exact = [mp.log1p(phi) - mp.mpf(phi) / (1 + mp.mpf(phi)) for phi in phis.tolist()]
+            for kl in (kl_divergence_exact(1.0, phis), [kl_divergence_exact(1.0, p) for p in phis]):
+                errors = [abs((got - want) / want) for got, want in zip(kl, exact)]
+                assert max(errors) < 1e-14
 
 
 class TestKlApproximation:

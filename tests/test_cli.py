@@ -891,6 +891,8 @@ class TestRecordRows:
         """The traced peak of writing a curve of ``rows`` random rows to ``out``."""
         rng = np.random.default_rng(rows)
         curve = SweepCurve(analysis_of(np.arange(1, rows + 1), rng.random((rows, 8))), 1, 0.5)
+        # The writer's tables are built by the first curve of a process: not traced here.
+        csvrows._pow10_table(), csvrows._quad_digits(), csvrows._layouts()
         tracemalloc.start()
         try:
             cli._write_atomic([(str(out), cli._curve_pieces(curve, with_minimizer=True))])
@@ -900,12 +902,13 @@ class TestRecordRows:
         assert out.read_text().count("\n") == rows + 2
         return peak
 
-    @pytest.mark.parametrize("rows", [2**12, 2**17])
+    @pytest.mark.parametrize("rows", [2**12, 2**17, 9 * csvrows._BLOCK_ROWS - 1])
     def test_writing_a_curve_holds_one_block(self, tmp_path, rows):
         # Writing every row's text and then their join peaked at 61 MB for 2**17 rows.
         peak = self.writing_peak(tmp_path / "curve.csv", rows)
         assert peak < 4 * 2**20
-        # One workspace serves every block: it does not grow with the curve.
+        # One workspace at a time serves every block, the shorter last block of
+        # 9 * 512 - 1 rows too: the peak does not grow with the curve.
         assert peak <= 1.05 * self.writing_peak(tmp_path / "short.csv", 2**12)
 
 
@@ -916,18 +919,19 @@ class TestPageFaults:
     its byte checks, and this count is the allocator's, not the bytes'.
     """
 
-    # A fresh process runs the large-array optimize three times and counts the
-    # minor page faults of the third. The first call maps the curve's
-    # workspace and unmaps it, which raises glibc's mmap threshold; the second
-    # takes the workspace from a heap grown for it (about 300 faults); from
-    # then on every block reuses memory already in place. Freeing each
-    # block's arrays instead cost about 1,800 faults per call.
+    # A fresh process runs the large-array optimize twice and counts the
+    # minor page faults of the second. The first call maps the workspace's
+    # arrays above glibc's mmap threshold and unmaps them after the curve,
+    # which raises the threshold above them; the second takes every array
+    # from heap space the first call freed. On a 2-core x86-64 VM that took
+    # 0-31 faults (3-54 under -X dev) over 44 fresh processes. A workspace of
+    # one 1 MB buffer did not fit there and grew the heap, about 210-245
+    # faults; freeing each block's arrays cost about 1,800 faults per call.
     FAULTS = """if True:
         import contextlib, io, resource, sys
         from beamsweep import cli
         with contextlib.redirect_stdout(io.StringIO()):
-            for _ in range(2):
-                assert cli.main(sys.argv[1:]) == 0
+            assert cli.main(sys.argv[1:]) == 0
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             assert cli.main(sys.argv[1:]) == 0
             after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
