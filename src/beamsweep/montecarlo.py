@@ -38,18 +38,19 @@ own thresholds. A cell gets the counts, and so the bytes, it gets alone.
 
 The substreams share no state (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC 2011), so every (dwell, chunk) of a call is a job of
-its own. ``estimate_cells`` runs them on a thread pool opened for the call,
-one worker per usable CPU and no more workers than jobs: numpy draws and
-compares without holding the GIL. Each worker claims the next job from a
-shared counter and adds its event counts to its own integer totals, so the
-tasks in flight are one per worker, and integer sums make the bytes the
-same for any number of CPUs and any thread schedule.
+its own, and any thread can run any job. ``estimate_cells`` runs them on the
+calling thread plus helper threads started for the call, one worker per
+usable CPU and no more workers than jobs: numpy draws and compares without
+holding the GIL. Each worker claims the next job from a shared counter and
+adds its event counts to its own integer totals, so integer sums make the
+bytes the same for any number of CPUs and any thread schedule.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -128,9 +129,10 @@ def _count_events(
 
     The job is (l_s, chunk, mc, members), with the (cell, x0, x1) of each
     cell of the dwell. The chunk is drawn once: a false alarm is a draw
-    above a member's x0, a miss a draw at or below its x1. It runs on a pool
-    thread, so it calls no function bound from another module of the
-    package, whose wrappers (a profiler's) need not be thread-safe.
+    above a member's x0, a miss a draw at or below its x1. It runs on the
+    calling thread or a helper thread, so it calls no function bound from
+    another module of the package, whose wrappers (a profiler's) need not be
+    thread-safe.
     """
     l_s, chunk, mc, members = job
     start = chunk * _CHUNK_TRIALS
@@ -151,10 +153,11 @@ def estimate_cells(cells: Sequence[tuple[float, float]], mc: McConfig) -> list[M
     l_s is one stream, and each of its chunks one job; the jobs are ordered
     by the dwell's first cell, then by chunk, and a job's index maps to its
     (dwell, chunk) by division, so no job list is built.
-    The first job to fail, in that order, raises here as it would from a
-    loop over the jobs; no job starts after a failure, and no pool thread
-    outlives the call. A worker holds one chunk at a time, so memory grows
-    with the workers, not the trials.
+    The calling thread runs jobs too, beside one helper thread per further
+    usable CPU. The first job to fail, in that order, raises here as it
+    would from a loop over the jobs; no job starts after a failure, and no
+    helper thread outlives the call, an interrupt included. A worker holds
+    one chunk at a time, so memory grows with the workers, not the trials.
     """
     # The (cell, x0, x1) of every cell of each distinct dwell.
     dwells: dict[float, list[tuple[int, float, float]]] = {}
@@ -165,19 +168,14 @@ def estimate_cells(cells: Sequence[tuple[float, float]], mc: McConfig) -> list[M
     jobs = len(streams) * chunks
     if not jobs:
         return []
-    # Imported here, so that the commands that run no Monte Carlo do not pay
-    # for the thread pool module and its queue (about 0.5 ms and 0.2 MB).
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
     claim = threading.Lock()
     pending = iter(range(jobs))
     stop = threading.Event()
-    failures: list[tuple[int, Exception]] = []  # (job index, its error)
+    failures: list[tuple[int, BaseException]] = []  # (job index, its error)
+    # Worker w's totals: slot 2i holds cell i's false alarms, slot 2i + 1 its misses.
+    per_worker = [[0] * (2 * len(cells)) for _ in range(min(jobs, _usable_cpus()))]
 
-    def work() -> list[int]:
-        # Slot 2i holds cell i's false alarms, slot 2i + 1 its misses.
-        totals = [0] * (2 * len(cells))
+    def work(totals: list[int]) -> None:
         while not stop.is_set():
             with claim:
                 index = next(pending, None)
@@ -187,23 +185,25 @@ def estimate_cells(cells: Sequence[tuple[float, float]], mc: McConfig) -> list[M
             l_s, members = streams[stream]
             try:
                 counts = _count_events((l_s, chunk, mc, members))
-            except Exception as exc:
+            except BaseException as exc:  # on a helper thread it would be lost
                 failures.append((index, exc))
                 stop.set()
                 break
             for (cell, _, _), (alarms, misses) in zip(members, counts):
                 totals[2 * cell] += alarms
                 totals[2 * cell + 1] += misses
-        return totals
 
-    workers = min(jobs, _usable_cpus())
-    pool = ThreadPoolExecutor(max_workers=workers)
+    helpers: list[threading.Thread] = []
     try:
-        futures = [pool.submit(work) for _ in range(workers)]
-        per_worker = [future.result() for future in futures]
+        for totals in per_worker[1:]:
+            helper = threading.Thread(target=work, args=(totals,))
+            helper.start()
+            helpers.append(helper)
+        work(per_worker[0])
     finally:
         stop.set()
-        pool.shutdown(wait=True)
+        for helper in helpers:
+            helper.join()
     if failures:
         # Every job ahead of the first failure in job order has run.
         raise min(failures, key=lambda failure: failure[0])[1]

@@ -478,7 +478,8 @@ class TestValidateConcurrency:
         assert threading.active_count() == threads
         return code, out.read_bytes(), probe["most"]
 
-    # Small CPU counts only: each worker is one thread.
+    # Small CPU counts only: the calling thread is one worker, and each
+    # further worker is one helper thread.
     def test_default_grid_bytes_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch, probe):
         one = self.run_with_cpus(monkeypatch, probe, tmp_path, 1, [])
         three = self.run_with_cpus(monkeypatch, probe, tmp_path, 3, [])

@@ -50,13 +50,14 @@ WORKER_BYTES = 240 * 2**10
 
 
 def worker_memory_bound(workers):
-    """Traced bytes an estimate_cells call may peak at with this many pool workers.
+    """Traced bytes an estimate_cells call may peak at with this many workers.
 
     512 KB plus ``WORKER_BYTES`` per worker, 8 MB at 32 workers. A worker
     holds one chunk of 2**14 draws (128 KB) and, while it counts an event,
-    one mask (16 KB). With ``_usable_cpus`` patched, the bound does not
-    depend on the machine's CPUs; on a 2-core VM the peaks were 0.15 to 0.24,
-    0.28 to 0.30 and 2.9 to 3.9 MB at 1, 2 and 32 workers.
+    one mask (16 KB); the calling thread is one of the workers. With
+    ``_usable_cpus`` patched, the bound does not depend on the machine's
+    CPUs; on a 2-core VM the peaks were 0.14 to 0.15, 0.27 to 0.29 and 0.8
+    to 3.9 MB at 1, 2 and 32 workers.
     """
     return 2**19 + workers * WORKER_BYTES
 
@@ -390,6 +391,59 @@ class TestConcurrentStreams:
                 estimate_cells([(1, 0.5), (2, 1.0), (3, 1.0), (4, 1.0)], self.MC)
         assert threading.active_count() == threads
 
+    @pytest.mark.parametrize("raiser", ["calling", "helper"])
+    def test_interrupt_on_either_thread_propagates(self, monkeypatch, raiser):
+        # Two workers, each holding a job: one thread's job raises
+        # KeyboardInterrupt, and the other's outlasts it by 50 ms, so a helper
+        # left unjoined shows. The interrupt must leave the call with the
+        # helper joined; a helper's must not end only its own thread.
+        count_events = montecarlo._count_events
+        caller = threading.get_ident()
+        holding, interrupted = threading.Event(), threading.Event()
+
+        def counter(job):
+            if (threading.get_ident() == caller) == (raiser == "calling"):
+                holding.wait(timeout=10)
+                interrupted.set()
+                raise KeyboardInterrupt
+            holding.set()
+            interrupted.wait(timeout=10)
+            time.sleep(0.05)
+            return count_events(job)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(montecarlo, "_count_events", counter)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            estimate_cells(self.CELLS, self.MC)
+        assert interrupted.is_set()
+        assert threading.active_count() == threads
+
+    def test_failed_thread_start_joins_the_started_helper(self, monkeypatch):
+        # Three workers, and the second helper cannot start: the first, whose
+        # job takes 50 ms, must be joined before the error leaves the call.
+        count_events = montecarlo._count_events
+        start = threading.Thread.start
+        started = []
+
+        def counter(job):
+            time.sleep(0.05)
+            return count_events(job)
+
+        def failing_start(thread):
+            if started:
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(montecarlo, "_count_events", counter)
+        monkeypatch.setattr(threading.Thread, "start", failing_start)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            estimate_cells(self.CELLS, self.MC)
+        assert threading.active_count() == threads
+
     def test_usable_cpus_follow_the_affinity_set(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
         assert montecarlo._usable_cpus() == 3
@@ -463,22 +517,38 @@ class TestSharedStreams:
         assert [job[3] for job in jobs] == [expected[0]] * 3 + [expected[1]] * 3
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-    def test_pool_holds_one_task_per_worker(self, monkeypatch, cpus):
-        # Six jobs; each worker is one pool task that claims jobs until none
-        # is left, so at most min(jobs, cpus) tasks are ever queued.
-        from concurrent.futures import ThreadPoolExecutor
+    def test_one_helper_thread_per_further_worker(self, monkeypatch, cpus):
+        # Six jobs; the calling thread is one worker, and each further worker
+        # is one helper thread that claims jobs until none is left.
+        count_events = montecarlo._count_events
+        caller = threading.get_ident()
+        ran = []
+        caller_ran = threading.Event()
+        start = threading.Thread.start
+        started = []
 
-        submit = ThreadPoolExecutor.submit
-        tasks = []
+        def counter(job):
+            thread = threading.get_ident()
+            ran.append(thread)
+            if thread == caller:
+                caller_ran.set()
+            else:
+                # Each helper holds its first job until the caller has run
+                # one, so the helpers cannot take every job.
+                caller_ran.wait(timeout=10)
+            return count_events(job)
 
-        def counting_submit(pool, *args, **kwargs):
-            tasks.append(args)
-            return submit(pool, *args, **kwargs)
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
 
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", counting_submit)
+        monkeypatch.setattr(montecarlo, "_count_events", counter)
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
         estimate_cells(self.shared_cells(), self.MC)
-        assert len(tasks) == min(6, cpus)
+        assert len(started) == min(6, cpus) - 1
+        assert caller in ran
+        assert len(ran) == 6
 
     def test_counts_are_the_events_of_each_cells_statistics(self):
         # Two chunks; both hypotheses count from the same draws.
