@@ -7,13 +7,12 @@ count and '%.17g' for every float, the routine ``presets.format_value`` runs.
 
 A float x != 0 is written by '%.17g' from its 17 significant digits: the
 integer D = round(|x| * 10**(16 - k)) in [10**16, 10**17), rounded half to
-even, with k = floor(log10 |x|) (and D = 10**16 at k + 1 when the rounding
-reaches 10**17). _decimal_parts finds D and k for a whole array at once.
-Every cell is then _SLOTS bytes of one array, NUL in each slot it does not
-print. A table gives, for the cell's sign, layout and digit count, its
-sign, "0." and zeros, and a mask that puts D's digits and the point in its
-digit slots; a table over k gives the exponent. A block's text is its slots
-less every NUL, one ``bytes.translate``.
+even, with k = floor(log10 |x|). _decimal_parts finds D and k for a whole
+array at once. Every cell is then _SLOTS bytes of one array, NUL in each
+slot it does not print. A table gives, for the cell's form and digit count,
+its "0." and zeros, and a mask that puts D's digits and the point in its
+digit slots; the sign bit gives the sign, and a table over k the exponent.
+A block's text is its slots less every NUL, one ``bytes.translate``.
 
 The passes over a block write into one workspace of plain arrays
 (``_Workspace``), made once per curve and reused by each full block; a
@@ -38,7 +37,7 @@ _Q_MIN, _Q_MAX = 16 - _K_MAX, 16 - _K_MIN  # the powers 10**(16 - k) they need
 # A cell's digits are taken from the double-double product only when its
 # fraction lies this far from 1/2; the product errs by less than 2**-45.
 _TIE_MARGIN = 2.0**-32
-_FORMS = 25  # layouts by exponent: see _form
+_FORMS = 22  # layouts by exponent: see _form
 # A cell's slots, four uint64 words: the sign, "0." and three zeros (_LEAD),
 # the 17 digits and the point or an integer's digits (_DIGITS), and a word of
 # "e", the exponent's sign and digits, and the separator (_SEP). A digit mask
@@ -46,7 +45,7 @@ _FORMS = 25  # layouts by exponent: see _form
 _SLOTS = 32
 _LEAD, _DIGITS, _EXP, _SEP = 1, 6, 24, 31
 _SHIFTED, _IN_PLACE = 0x80, 0x7F
-_INT_KEYS = 2 * _FORMS * 17  # an integer's layout key follows the float keys
+_INT_KEYS = _FORMS * 17  # an integer's layout key follows the float keys
 _POWERS_OF_TEN = 10 ** np.arange(1, 18, dtype=np.int64)
 
 
@@ -136,27 +135,22 @@ def _quad_digits() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _form(k: np.ndarray) -> np.ndarray:
-    """The layout of exponent k: k + 4 for a fixed form (-4 <= k <= 16), then scientific
-    with a negative two- or three-digit exponent (21, 22) or a positive one (23, 24)."""
-    return np.where(k < -4, np.where(k <= -100, 22, 21),
-                    np.where(k >= 17, np.where(k >= 100, 24, 23), k + 4))
+    """The layout of exponent k: k + 4 for a fixed form (-4 <= k <= 16), else 21, scientific."""
+    return np.where((k < -4) | (k >= 17), 21, k + 4)
 
 
 @functools.cache
 def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(template, digit mask) of every layout key; the key part and exponent word of each k.
 
-    A float's key is (sign * _FORMS + form) * 17 + digits - 1, with the form
-    from ``_form``; the table over k from _K_MIN to _K_MAX holds form * 17,
-    and each form's layout is built at its smallest k. An integer's key is
-    _INT_KEYS + its digit count - 1. The exponent is data, not layout.
+    A float's key is form * 17 + digits - 1, with the form from ``_form``;
+    the table over k from _K_MIN to _K_MAX holds form * 17, and each form's
+    layout is built at its smallest k. An integer's key is _INT_KEYS + its
+    digit count - 1. The sign and the exponent are data, not layout.
     """
     exponents = np.arange(_K_MIN, _K_MAX + 1)
     forms = _form(exponents)
-    sign, form, count = (
-        axis.ravel()
-        for axis in np.meshgrid(np.arange(2), np.arange(_FORMS), np.arange(1, 18), indexing="ij")
-    )
+    form, count = np.repeat(np.arange(_FORMS), 17), np.tile(np.arange(1, 18), _FORMS)
     k = exponents[np.unique(forms, return_index=True)[1]][form]
     sci = (k < -4) | (k >= 17)
     below_one = (k < 0) & ~sci
@@ -164,7 +158,6 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     shown = np.maximum(count, whole)[:, None]  # digits printed; a fixed form keeps its units
     lead = np.where(below_one, shown[:, 0], whole)[:, None]  # slots before the point
     templates = np.zeros((_INT_KEYS + 18, _SLOTS), np.uint8)
-    templates[:_INT_KEYS, 0] = sign * ord("-")
     prefix = below_one[:, None] & (np.arange(5) < 1 - k[:, None])  # "0." and -1 - k zeros
     templates[:_INT_KEYS, _LEAD:_DIGITS] = prefix * np.frombuffer(b"0.000", np.uint8)
     templates[:, _SEP] = ord(",")
@@ -190,15 +183,16 @@ def _decimal_parts(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarra
     errs by under 2**-105.8, and rounding mant * lo and adding it to err by
     under 1.5 * 2**-106, so the sum errs by less than 2**-104.6 of
     mant * 10**(16 - k) / 2**b, a number in [1/4, 1). A proven cell has
-    y < 10**17 + 1 < 2**57, so 2**(e + b) < 2**59 and y errs by less than
+    y < 10**17 < 2**57, so 2**(e + b) < 2**59 and y errs by less than
     2**-45. D rounds y half to even, which is what '%.17g' does. A cell is
     proven, and D and k are its digits and exponent, where the fraction of
     y lies more than _TIE_MARGIN from 1/2 and 10**16 <= floor(y) and
-    D <= 10**17; a y within 2**-45 below 10**16 has the same digits at k.
-    Zeros, non-finite values, (near-)ties such as 2**-25, and a guess of
-    k = floor(log10 |x|) off by one are not proven: their D is 10**16 and
-    their text comes from '%.17g' itself. The three results, like every
-    intermediate, are arrays of the workspace ``ws``, sized for ``x``.
+    D < 10**17; a y within 2**-45 below 10**16 has the same digits at k.
+    Zeros, non-finite values, (near-)ties such as 2**-25, a guess of
+    k = floor(log10 |x|) off by one, and a rounding that reaches 10**17 are
+    not proven: their D is 10**16 and their text comes from '%.17g' itself.
+    The three results, like every intermediate, are arrays of the workspace
+    ``ws``, sized for ``x``.
     """
     ax, mant, m_high, m_low, h_high, h_low, p, err, t = ws.reals
     proven, flag = ws.bools
@@ -240,10 +234,7 @@ def _decimal_parts(x: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarra
     proven &= np.greater(np.abs(np.subtract(fraction, 0.5, out=t), out=t), _TIE_MARGIN, out=flag)
     proven &= np.greater_equal(d, 10**16, out=flag)
     d += np.greater(fraction, 0.5, out=flag)
-    proven &= np.less_equal(d, 10**17, out=flag)
-    carry = np.equal(d, 10**17, out=flag)
-    np.copyto(d, 10**16, where=carry)
-    k += carry
+    proven &= np.less(d, 10**17, out=flag)
     np.copyto(d, 10**16, where=np.logical_not(proven, out=flag))
     return proven, d, k
 
@@ -292,9 +283,9 @@ def _array_rows(m: np.ndarray, x: np.ndarray, ws: _Workspace) -> str:
     float_keys = np.take(form_keys, index, out=ws.ints[3], mode="clip")
     float_keys += 16
     float_keys -= zeros[:, 1:]
-    np.add(float_keys, _FORMS * 17, out=float_keys, where=np.signbit(x, out=ws.bools[1]))
     keys[:, 1:] = float_keys
     chars = np.take(templates, keys, axis=0, out=ws.chars, mode="clip")
+    np.multiply(np.signbit(x, out=ws.bools[1]).view(np.uint8), ord("-"), out=chars[:, 1:, 0])
     by_group = np.take(quads, groups, out=ws.masks.view(np.uint32).reshape(groups.shape), mode="clip")
     np.copyto(ws.digits, by_group.transpose(1, 2, 0))
     digits = ws.digits.view(np.uint8).reshape(-1)
