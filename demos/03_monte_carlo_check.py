@@ -3,8 +3,8 @@
 Each Monte Carlo trial draws the per-sector energy statistic directly in
 beamspace and compares it to the fixed threshold; the empirical false-alarm
 and miss rates should land within a few Wilson half-widths of the
-closed-form values. The trial streams are counter-based, so rerunning with
-the same seed reproduces every digit.
+closed-form values. Each chunk of trials is a substream keyed by the seed
+and the chunk index, so rerunning with the same seed reproduces every digit.
 
 One ``estimate_cells`` call checks the whole grid: both hypotheses count
 from the same draws, and the cells that share a dwell l_s share its one

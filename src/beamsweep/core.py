@@ -213,14 +213,18 @@ def make_sweep_plan(cfg: ScenarioConfig, m: int | np.ndarray) -> SweepPlan:
     require(
         (1 <= m) & (m <= m_max), f"sector count m={{}} outside the feasible range [1, {m_max}]", m
     )
-    # Python's int division rounds l_total / m once for any l_total; numpy
-    # would round l_total to a double first.
-    l_sector = np.array([cfg.l_total / k for k in m.ravel().tolist()], dtype=float)
+    # l_total / m rounded once. Up to 2**53 both operands are exact doubles,
+    # so numpy's division gives that quotient; above, numpy would round
+    # l_total to a double first, and only Python's int division stays exact.
+    if max(cfg.l_total, m_max) <= 2**53:
+        l_sector = np.true_divide(float(cfg.l_total), m)
+    else:
+        l_sector = np.reshape([cfg.l_total / k for k in m.ravel().tolist()], m.shape)
     # A Python float for one m, so phi_w is one too. An overflow gives inf,
     # which the check below names, without a numpy warning ahead of it.
     with np.errstate(over="ignore"):
         gain = scalar_or_array(2.0 * as_floats(m) / cfg.theta_t)
         phi_w = cfg.pa_watt * path_loss(cfg) * gain / cfg.noise_watt
     require(finite_nonnegative(phi_w), "phi_w must be finite and >= 0, got {}", phi_w)
-    return SweepPlan(scalar_or_array(m), scalar_or_array(l_sector.reshape(m.shape)), phi_w)
+    return SweepPlan(scalar_or_array(m), scalar_or_array(l_sector), phi_w)
 

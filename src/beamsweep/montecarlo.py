@@ -18,16 +18,17 @@ a draw above x0 and a miss a draw at or below x1: the events whose
 probabilities Q(l_sector, x0) and P(l_sector, x1) the closed forms give, with
 x0 and x1 from ``analysis._thresholds``.
 
-Determinism contract: the seed keys one counter-based (Philox) stream per
-dwell, shared by both hypotheses, cut into substreams of ``_CHUNK_TRIALS``
-trials. Chunk c covers trials [c * 2**14, (c + 1) * 2**14); its substream
-has the seed as key and c in counter word 2, which is
-``Philox(key=seed).jumped(c)``, 2**128 blocks from the next. Trial i is draw
-i mod 2**14 of chunk i // 2**14's substream. numpy fills an array from a
-substream sequentially, so a trial does not depend on the trial count, and
-no chunk depends on another. The chunk size is part of the contract, not a
-setting. The bytes are stable for a fixed numpy version; numpy may change
-its Generator streams between versions (NEP 19).
+Determinism contract: the seed keys one stream per dwell, shared by both
+hypotheses, cut into substreams of ``_CHUNK_TRIALS`` trials. Chunk c covers
+trials [c * 2**14, (c + 1) * 2**14); its substream is an SFC64 generator
+seeded by ``SeedSequence(seed, spawn_key=(c,))``, which is numpy's c-th
+child of ``SeedSequence(seed)``: ``SeedSequence(seed).spawn(c + 1)[c]``.
+Trial i is draw i mod 2**14 of chunk i // 2**14's substream. numpy fills an
+array from a substream sequentially, so a trial does not depend on the trial
+count, and no chunk depends on another. The chunk size and the bit generator
+are part of the contract, not settings. The bytes are stable for a fixed
+numpy version; numpy may change its Generator streams between versions
+(NEP 19).
 
 A cell is (l_s, phi_w), the closed forms' coordinates, and one ``McConfig``
 (trials, seed) serves every cell of an ``estimate_cells`` call. Both
@@ -36,14 +37,17 @@ alone (common random numbers): each chunk is drawn once and every cell of
 its dwell counts its false alarms and its misses from it, each against its
 own thresholds. A cell gets the counts, and so the bytes, it gets alone.
 
-The substreams share no state (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC 2011), so every (dwell, chunk) of a call is a job of
-its own, and any thread can run any job. ``estimate_cells`` runs them on the
-calling thread plus helper threads started for the call, one worker per
-usable CPU and no more workers than jobs: numpy draws and compares without
-holding the GIL. Each worker claims the next job from a shared counter and
-adds its event counts to its own integer totals, so integer sums make the
-bytes the same for any number of CPUs and any thread schedule.
+Each substream is a generator of its own, built from the seed and its chunk
+index alone: SeedSequence hashes each spawn key into its own SFC64 state,
+numpy's documented way to seed parallel streams. Substreams that share no
+state (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC
+2011) make every (dwell, chunk) of a call a job of its own, and any thread
+can run any job. ``estimate_cells`` runs them on the calling thread plus
+helper threads started for the call, one worker per usable CPU and no more
+workers than jobs: numpy draws and compares without holding the GIL. Each
+worker claims the next job from a shared counter and adds its event counts
+to its own integer totals, so integer sums make the bytes the same for any
+number of CPUs and any thread schedule.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .analysis import _point, _thresholds
 
@@ -100,10 +104,10 @@ def _chunk_draws(l_s: float, seed: int, chunk: int, size: int = _CHUNK_TRIALS) -
 
     These are the noise-only statistics of trials [chunk * _CHUNK_TRIALS,
     chunk * _CHUNK_TRIALS + size), which both hypotheses count from. The
-    substream's key is the seed and its counter starts with the chunk index
-    in word 2.
+    substream is SFC64 seeded by the seed's child sequence with spawn key
+    ``(chunk,)``, the same as ``SeedSequence(seed).spawn(chunk + 1)[chunk]``.
     """
-    bit_generator = Philox(key=seed, counter=[0, 0, chunk, 0])
+    bit_generator = SFC64(SeedSequence(seed, spawn_key=(chunk,)))
     return Generator(bit_generator).standard_gamma(float(l_s), size)
 
 

@@ -165,6 +165,17 @@ class TestLinkBudget:
             assert type(one.phi_w) is float
             assert (one.l_sector, one.phi_w) == (l_sector, phi_w)
 
+    @pytest.mark.parametrize("l_total", [160, 2**53, 2**53 + 1, 10**20])
+    def test_dwell_is_the_correctly_rounded_quotient(self, l_total):
+        # numpy divides up to 2**53, where both operands are exact doubles;
+        # above it, rounding l_total first would move some quotients.
+        cfg = default_config(l_total=l_total)
+        ms = np.arange(1, cfg.m_max + 1)
+        assert make_sweep_plan(cfg, ms).l_sector.tolist() == [l_total / m for m in ms.tolist()]
+        assert [make_sweep_plan(cfg, m).l_sector for m in ms.tolist()] == [
+            l_total / m for m in ms.tolist()
+        ]
+
     @pytest.mark.parametrize("bad", [0, 10**30, -(10**30)])
     def test_sweep_plan_names_first_infeasible_count(self, bad):
         cfg = default_config()
