@@ -2,8 +2,11 @@
 
 ``record_blocks`` yields the rows of an analysis, one per sector count, in
 blocks of text that a writer puts out one at a time; ``_array_rows`` lays
-out every block in array passes. The bytes are those of '%d' for the sector
-count and '%.17g' for every float, the routine ``presets.format_value`` runs.
+out every block in array passes. Every cell, the sector count's too, is
+written as '%.17g' writes its double, the routine ``presets.format_value``
+runs for a float. A curve's sector counts are ``np.arange(1, m_max + 1)``,
+and for 1 <= m <= 2**53 the double of m is exact and its '%.17g' text is
+'%d''s; no array of more than 2**53 rows can be allocated.
 
 A float x != 0 is written by '%.17g' from its 17 significant digits: the
 integer D = round(|x| * 10**(16 - k)) in [10**16, 10**17), rounded half to
@@ -18,7 +21,8 @@ The passes over a block write into one workspace of plain arrays
 (``_Workspace``), made once per curve and reused by each full block; a
 shorter last block gets its own once that one is dropped. A new workspace
 per block, made while the last was held, cost 250-870 minor page faults per
-4,096-row curve. At _BLOCK_ROWS = 512, an eight-column workspace is 1.05 MB.
+4,096-row curve. At _BLOCK_ROWS = 512, an eight-column workspace is
+1,110,016 bytes.
 """
 
 from __future__ import annotations
@@ -39,60 +43,59 @@ _Q_MIN, _Q_MAX = 16 - _K_MAX, 16 - _K_MIN  # the powers 10**(16 - k) they need
 _TIE_MARGIN = 2.0**-32
 _FORMS = 22  # layouts by exponent: see _form
 # A cell's slots, four uint64 words: the sign, "0." and three zeros (_LEAD),
-# the 17 digits and the point or an integer's digits (_DIGITS), and a word of
-# "e", the exponent's sign and digits, and the separator (_SEP). A digit mask
-# takes the next digit byte (_SHIFTED) or the same (_IN_PLACE).
+# the 17 digits and the point (_DIGITS), and a word of "e", the exponent's
+# sign and digits, and the separator (_SEP). A digit mask takes the next
+# digit byte (_SHIFTED) or the same (_IN_PLACE).
 _SLOTS = 32
 _LEAD, _DIGITS, _EXP, _SEP = 1, 6, 24, 31
 _SHIFTED, _IN_PLACE = 0x80, 0x7F
-_INT_KEYS = _FORMS * 17  # an integer's layout key follows the float keys
-_POWERS_OF_TEN = 10 ** np.arange(1, 18, dtype=np.int64)
 
 
 def record_blocks(columns: str, analysis: DetectionAnalysis) -> Iterator[str]:
     """CSV rows of an analysis, one per sector count, as text of up to ``_BLOCK_ROWS`` rows.
 
     Each column is the analysis field of that name, an array over the sector
-    counts; the first is the sector count ``m``, an integer array written as
-    '%d' writes it, and every other column is written as '%.17g' writes it,
-    the routine ``format_value`` runs. Every row ends in a newline. A block
-    is made only when the previous one has been consumed, so the text of one
-    block at a time is held, and one workspace. Each block is a new string.
+    counts, and every cell is written as '%.17g' writes its double, the
+    routine ``format_value`` runs for a float; the first column, the sector
+    count ``m`` in [1, 2**53], thus reads as '%d' writes it. Every row ends in
+    a newline. A block is made only when the previous one has been consumed,
+    so the text of one block at a time is held, and one workspace. Each block
+    is a new string.
     """
-    m, *floats = [getattr(analysis, name) for name in columns.split(",")]
-    for start in range(0, len(m), _BLOCK_ROWS):
+    fields = [getattr(analysis, name) for name in columns.split(",")]
+    for start in range(0, len(fields[0]), _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        if start == 0 or len(m[block]) < _BLOCK_ROWS:
+        rows = len(fields[0][block])
+        if start == 0 or rows < _BLOCK_ROWS:
             ws = None  # the full blocks' workspace goes before the last block's is made
-            ws = _Workspace(len(m[block]), len(floats))
-        for i, column in enumerate(floats):
-            ws.x[:, i] = column[block]
-        yield _array_rows(m[block], ws.x, ws)
+            ws = _Workspace(rows, len(fields))
+        for i, field in enumerate(fields):
+            ws.x[:, i] = field[block]
+        yield _array_rows(ws.x, ws)
 
 
 class _Workspace:
-    """The arrays the passes over one block of ``rows`` rows and ``floats`` float columns write into.
+    """The arrays the passes over one block of ``rows`` rows and ``columns`` columns write into.
 
     Made once per curve; the slots, ``chars``, view ``text``. A block's passes
     write each array before they read it, so nothing carries over between blocks.
     """
 
-    def __init__(self, rows: int, floats: int) -> None:
-        cells, line = (rows, floats), (rows, 1 + floats)
-        self.x = np.empty(cells)  # the float columns
+    def __init__(self, rows: int, columns: int) -> None:
+        cells = (rows, columns)
+        self.x = np.empty(cells)  # the columns as doubles
         self.reals = np.empty((9,) + cells)  # _decimal_parts' intermediates
         self.e = np.empty(cells, np.intc)
-        self.ints = np.empty((4,) + cells, np.int64)  # k, D, then k's index and the keys
+        self.ints = np.empty((4,) + cells, np.int64)  # k, D, then k's index
         self.bools = np.empty((2,) + cells, bool)
-        self.counted = np.empty(rows, bool)
-        self.groups = np.empty((5,) + line, np.int64)  # then the digit slots
-        self.line_ints = np.empty((4,) + line, np.int64)  # products, then zeros and keys
-        self.at_run = np.empty(line, bool)
-        self.digits = np.empty(line + (5,), np.uint32)  # the quads cell by cell
-        self.masks = np.empty(line + (20,), np.uint8)  # quads by group, then masks
+        self.groups = np.empty((5,) + cells, np.int64)  # then the digit slots
+        self.cell_ints = np.empty((4,) + cells, np.int64)  # products, then zeros and keys
+        self.at_run = np.empty(cells, bool)
+        self.digits = np.empty(cells + (5,), np.uint32)  # the quads cell by cell
+        self.masks = np.empty(cells + (20,), np.uint8)  # quads by group, then masks
         self.exponent_words = np.empty(cells, np.uint64)
-        self.text = bytearray(rows * (1 + floats) * _SLOTS)
-        self.chars = np.ndarray(line + (_SLOTS,), np.uint8, self.text)
+        self.text = bytearray(rows * columns * _SLOTS)
+        self.chars = np.ndarray(cells + (_SLOTS,), np.uint8, self.text)
 
 
 @functools.cache
@@ -143,10 +146,10 @@ def _form(k: np.ndarray) -> np.ndarray:
 def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(template, digit mask) of every layout key; the key part and exponent word of each k.
 
-    A float's key is form * 17 + digits - 1, with the form from ``_form``;
+    A cell's key is form * 17 + digits - 1, with the form from ``_form``;
     the table over k from _K_MIN to _K_MAX holds form * 17, and each form's
-    layout is built at its smallest k. An integer's key is _INT_KEYS + its
-    digit count - 1. The sign and the exponent are data, not layout.
+    layout is built at its smallest k. The sign and the exponent are data,
+    not layout.
     """
     exponents = np.arange(_K_MIN, _K_MAX + 1)
     forms = _form(exponents)
@@ -157,18 +160,17 @@ def _layouts() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     whole = np.where(below_one, 0, np.where(sci, 1, k + 1))  # digits before the point
     shown = np.maximum(count, whole)[:, None]  # digits printed; a fixed form keeps its units
     lead = np.where(below_one, shown[:, 0], whole)[:, None]  # slots before the point
-    templates = np.zeros((_INT_KEYS + 18, _SLOTS), np.uint8)
+    templates = np.zeros((_FORMS * 17, _SLOTS), np.uint8)
     prefix = below_one[:, None] & (np.arange(5) < 1 - k[:, None])  # "0." and -1 - k zeros
-    templates[:_INT_KEYS, _LEAD:_DIGITS] = prefix * np.frombuffer(b"0.000", np.uint8)
+    templates[:, _LEAD:_DIGITS] = prefix * np.frombuffer(b"0.000", np.uint8)
     templates[:, _SEP] = ord(",")
     # Slot j is mask byte 2 + j: digit j before the point, j - 1 after it.
     slot = np.arange(18)
-    masks = np.zeros((_INT_KEYS + 18, 20), np.uint8)
-    floats = masks[:_INT_KEYS, 2:]
-    floats[slot < lead] = _SHIFTED
-    floats[(slot == lead) & (shown > lead)] = ord(".")
-    floats[(slot > lead) & (slot <= shown)] = _IN_PLACE
-    masks[_INT_KEYS:, 2:] = (slot >= 17 - np.arange(18)[:, None]) * _IN_PLACE
+    masks = np.zeros((_FORMS * 17, 20), np.uint8)
+    digit_masks = masks[:, 2:]
+    digit_masks[slot < lead] = _SHIFTED
+    digit_masks[(slot == lead) & (shown > lead)] = ord(".")
+    digit_masks[(slot > lead) & (slot <= shown)] = _IN_PLACE
     words = [("e%+03d," % k if k < -4 or k >= 17 else ",").encode() for k in exponents.tolist()]
     words = b"".join(word.rjust(8, b"\0") for word in words)  # slots _EXP to _SEP
     return templates, masks, forms * 17, np.frombuffer(words, np.uint64)
@@ -250,42 +252,37 @@ def _digit_groups(groups: np.ndarray, products: np.ndarray) -> None:
     groups[1:] -= np.multiply(groups[:4], 10**4, out=products)  # from v // 10**(16 - 4i)
 
 
-def _array_rows(m: np.ndarray, x: np.ndarray, ws: _Workspace) -> str:
-    """The CSV rows of sector counts ``m`` (n,) and float columns ``x`` (n, c), in array passes.
+def _array_rows(x: np.ndarray, ws: _Workspace) -> str:
+    """The CSV rows of the columns ``x`` (n, c), in array passes.
 
-    The passes write into the workspace ``ws``, sized for n rows of c floats.
-    The bytes are those of the printf formats by construction: a cell the
-    array passes cannot prove (see ``_decimal_parts``; for ``m``, one below 0
-    or of 19 digits) is formatted by '%.17g' or '%d' itself, in its slots.
+    The passes write into the workspace ``ws``, sized for n rows of c
+    columns. The bytes are those of '%.17g' by construction: a cell the
+    array passes cannot prove (see ``_decimal_parts``) is formatted by
+    '%.17g' itself, in its slots.
 
-    A cell's digits are five quads, 20 ASCII bytes: a float's 17 from byte
-    3, an integer's 18 from byte 2. Over all cells as flat bytes, slot byte b
-    is the minimum of digit byte b and mask byte b less _SHIFTED, or of digit
-    byte b + 1 and its _SHIFTED bit: as digits are 0x30 to 0x39, the digit
-    the mask passes, the point it holds, or NUL.
+    A cell's digits are five quads, 20 ASCII bytes, its 17 from byte 3.
+    Over all cells as flat bytes, slot byte b is the minimum of digit byte b
+    and mask byte b less _SHIFTED, or of digit byte b + 1 and its _SHIFTED
+    bit: as digits are 0x30 to 0x39, the digit the mask passes, the point it
+    holds, or NUL.
     """
     quads, trailing = _quad_digits()
     templates, masks_of, form_keys, exponent_words = _layouts()
     proven, d, k = _decimal_parts(x, ws)
-    m = m.astype(np.int64, copy=False)
-    counted = np.less(m.view(np.uint64), 10**18, out=ws.counted)  # a negative m wraps above
     groups = ws.groups
-    np.multiply(m, counted, out=groups[4][:, 0])
-    groups[4][:, 1:] = d
-    _digit_groups(groups, ws.line_ints)
-    zeros, more, keys, _ = ws.line_ints
+    np.copyto(groups[4], d)
+    _digit_groups(groups, ws.cell_ints)
+    zeros, more, keys, _ = ws.cell_ints
     np.take(trailing, groups[4], out=zeros, mode="clip")  # trailing zeros of D, four digits at a time
     for group, run in ((3, 4), (2, 8), (1, 12)):
         np.add(zeros, np.take(trailing, groups[group], out=more, mode="clip"), out=zeros,
                where=np.equal(zeros, run, out=ws.at_run))
-    keys[:, 0] = np.searchsorted(_POWERS_OF_TEN, m, side="right") + _INT_KEYS
     index = np.subtract(k, _K_MIN, out=ws.ints[2])
-    float_keys = np.take(form_keys, index, out=ws.ints[3], mode="clip")
-    float_keys += 16
-    float_keys -= zeros[:, 1:]
-    keys[:, 1:] = float_keys
+    np.take(form_keys, index, out=keys, mode="clip")
+    keys += 16
+    keys -= zeros
     chars = np.take(templates, keys, axis=0, out=ws.chars, mode="clip")
-    np.multiply(np.signbit(x, out=ws.bools[1]).view(np.uint8), ord("-"), out=chars[:, 1:, 0])
+    np.multiply(np.signbit(x, out=ws.bools[1]).view(np.uint8), ord("-"), out=chars[..., 0])
     by_group = np.take(quads, groups, out=ws.masks.view(np.uint32).reshape(groups.shape), mode="clip")
     np.copyto(ws.digits, by_group.transpose(1, 2, 0))
     digits = ws.digits.view(np.uint8).reshape(-1)
@@ -295,17 +292,10 @@ def _array_rows(m: np.ndarray, x: np.ndarray, ws: _Workspace) -> str:
     mask &= _SHIFTED
     slots[:-1] |= np.minimum(digits[1:], mask[:-1], out=mask[:-1])
     chars[..., _DIGITS:_EXP] = slots.reshape(ws.masks.shape)[..., 2:]
-    chars.view(np.uint64)[:, 1:, -1] = np.take(exponent_words, index, out=ws.exponent_words, mode="clip")
-    _printf_cells(x, proven, "%.17g", chars[:, 1:])
-    _printf_cells(m, counted, "%d", chars[:, 0])
+    chars.view(np.uint64)[..., -1] = np.take(exponent_words, index, out=ws.exponent_words, mode="clip")
+    if not proven.all():  # '%.17g' itself: its text in the cell's leading slots, NUL after it
+        where = np.nonzero(~proven)
+        texts = [("%.17g" % v).encode() for v in x[where].tolist()]
+        chars[where + (slice(0, _SEP),)] = np.array(texts, f"S{_SEP}").view(np.uint8).reshape(-1, _SEP)
     chars[:, -1, _SEP] = ord("\n")
     return str(ws.text.translate(None, b"\0"), "ascii")
-
-
-def _printf_cells(values, proven, fmt, chars) -> None:
-    """Put the printf text of every unproven value in its cell's leading slots, NUL after it."""
-    if proven.all():
-        return
-    where = np.nonzero(~proven)
-    texts = [(fmt % v).encode() for v in values[where].tolist()]
-    chars[where + (slice(0, _SEP),)] = np.array(texts, f"S{_SEP}").view(np.uint8).reshape(-1, _SEP)

@@ -729,7 +729,7 @@ class TestRecordRows:
         math.nan,
     )
 
-    SECTOR_COUNTS = (1, 2, 67, 4096, 2**40, 10**17, 7, 31, 89, 3, 5, 9, 11, 13)
+    SECTOR_COUNTS = (1, 2, 67, 4096, 2**40, 2**53 - 1, 2**53, 7, 31, 89, 3, 5, 9, 11, 13)
 
     # Named cases for the array passes, each with its negative.
     NAMED = (
@@ -759,11 +759,10 @@ class TestRecordRows:
             line + "\n" for line in expected
         )
         # The array passes write the same rows.
-        m = analysis.m
-        floats = np.stack([getattr(analysis, name) for name in names[1:]], axis=1)
-        workspace = csvrows._Workspace(*floats.shape)
-        assert csvrows._array_rows(m, floats, workspace) == "".join(line + "\n" for line in expected)
-        # A one-row analysis gives its one row, 2**40 and 10**17 among the sector counts.
+        cells = np.stack([getattr(analysis, name) for name in names], axis=1)
+        workspace = csvrows._Workspace(*cells.shape)
+        assert csvrows._array_rows(cells, workspace) == "".join(line + "\n" for line in expected)
+        # A one-row analysis gives its one row, 2**40, 2**53 - 1 and 2**53 among the sector counts.
         for row, line in zip(rows, expected):
             one_row = DetectionAnalysis(*(np.array([cell]) for cell in row))
             assert "".join(csvrows.record_blocks(columns, one_row)) == line + "\n"
@@ -778,8 +777,8 @@ class TestRecordRows:
         bits[::4] = sign | rng.integers(1, 2**52, size=(rows // 4, 8), dtype=np.uint64)
         bits[0, :2] = [1, (1 << 63) | 1]
         floats = bits.view(np.float64)
-        m = rng.integers(0, 2**63, size=rows) >> rng.integers(0, 63, size=rows)
-        m[::97] *= -1  # '%d' writes these itself
+        # Sector counts in [1, 2**53], of every digit count up to 16.
+        m = 1 + (rng.integers(0, 2**53, size=rows) >> rng.integers(0, 53, size=rows))
         analysis = analysis_of(m, floats)
         columns = FLOAT_COLUMNS
         assert "".join(csvrows.record_blocks(columns, analysis)) == printf_text(columns, analysis)
@@ -840,14 +839,10 @@ class TestRecordRows:
             if (10 ** (count - 1) + t) % 10 and 10 ** (count - 1) + t < 10**count
         ])
         floats = np.concatenate([floats, -floats])
-        # Integers of every digit count from 1 to 19. One of 19 digits has no
-        # key: the digit slots hold 18, and '%d' writes it.
-        counts = np.array([
-            v for c in range(1, 20) for v in (10 ** (c - 1), 3 * 10 ** (c - 1) + 7, min(10**c - 1, 2**63 - 1))
-        ])
+        # A sector count of every digit count from 1 to 16, all below 2**53.
+        counts = np.array([int("1234567890123456"[:c]) for c in range(1, 17)])
         proven, _, _ = decimal_parts(floats[:, None])
         keys = {self.layout_key(text) for text in map("%.17g".__mod__, floats[proven[:, 0]].tolist())}
-        keys |= {csvrows._INT_KEYS + len(str(m)) - 1 for m in counts.tolist() if m < 10**18}
         assert keys == set(range(len(csvrows._layouts()[0])))
         floats = np.resize(floats, (-(-floats.size // 8), 8))  # wraps round to fill the last row
         analysis = analysis_of(np.resize(counts, len(floats)), floats)
@@ -1332,6 +1327,20 @@ class TestExitCodes:
             f"{int(1e300)} exceeds {np.iinfo(np.intp).max}\n"
         )
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("command", ["sweep-m", "optimize"])
+    def test_sector_range_beyond_any_allocation_maps_to_one(self, tmp_path, capsys, command):
+        # m_max = 2**54 sector counts fit the index range, but their array
+        # cannot be allocated: no curve holds a sector count above 2**53.
+        out = str(tmp_path / "x.csv")
+        argv = [command, "--config", FIG3_CFG, "--set", f"n_antennas={2**54}",
+                "--set", "theta_t=2", "--out", out]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")  # numpy's wording differs across versions
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert os.listdir(tmp_path) == []  # neither the file nor its temp file
 
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["frobnicate"]) == 1
