@@ -22,7 +22,6 @@ from .analysis import (
 )
 from .core import (
     ScenarioConfig,
-    SweepPlan,
     dbm_to_watt,
     make_sweep_plan,
     path_loss,
@@ -45,7 +44,6 @@ __all__ = [
     "McEstimate",
     "ScenarioConfig",
     "SweepCurve",
-    "SweepPlan",
     "analyze_scenario",
     "dbm_to_watt",
     "estimate_cells",

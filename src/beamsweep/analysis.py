@@ -277,18 +277,19 @@ def analyze_scenario(
     along a curve, where phi_w grows with m, that is the error a
     point-by-point evaluation would raise first.
     """
+    m = np.asarray(m)
     # Overflow gives inf and nan as Python floats would, without warnings;
     # the checks reject them where they matter.
     with np.errstate(all="ignore"):
-        plan = make_sweep_plan(cfg, m)
-        l_s, phi_w = _point(plan.l_sector, plan.phi_w)
-        log_term, x0, x1 = _thresholds(l_s, phi_w)
-        alpha = _false_alarm(l_s, phi_w, x0, x1)
+        l_sector, phi_w = make_sweep_plan(cfg, m)
+        l_s, phi = _point(l_sector, phi_w)
+        log_term, x0, x1 = _thresholds(l_s, phi)
+        alpha = _false_alarm(l_s, phi, x0, x1)
         beta = _lower_gamma(l_s, x1)
-        kl = _kl_exact(l_s, phi_w, log_term)
-        kl_approx = _kl_approx(cfg, as_floats(plan.m_sectors), path_loss(cfg))
+        kl = _kl_exact(l_s, phi, log_term)
+        kl_approx = _kl_approx(cfg, as_floats(m), path_loss(cfg))
         return DetectionAnalysis(
-            plan.m_sectors, plan.l_sector, plan.phi_w,
+            scalar_or_array(m), l_sector, phi_w,
             *map(scalar_or_array, (alpha, beta, alpha + beta, kl, kl_approx)),
             pinsker_lower_bound(kl),
         )

@@ -25,6 +25,7 @@ numerical convergence failure, 3 Monte Carlo validation failure.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -128,8 +129,6 @@ def _write_atomic(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
         # directory made after the check still fails a later rename.
         for _, path in staged:
             if os.path.isdir(path):
-                import errno
-
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         while staged:
             tmp, path = staged[0]
@@ -218,8 +217,7 @@ def _validate_cells(args: argparse.Namespace, raw: dict[str, str]) -> list[tuple
             )
         m_list = _parse_list("m", raw.pop("m"), as_int=True) if "m" in raw else [1]
         _, cfg = _load_scenario_for(args, raw)
-        plans = (make_sweep_plan(cfg, m) for m in m_list)
-        return [(plan.l_sector, plan.phi_w) for plan in plans]
+        return [make_sweep_plan(cfg, m) for m in m_list]
     if "m" in raw:
         raise ConfigError("--set m=... requires --config")
     ls_list = (

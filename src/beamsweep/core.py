@@ -1,9 +1,9 @@
 """Scenario parameters and the sweep plan.
 
-Everything downstream works in two normalized coordinates that
-``make_sweep_plan`` derives here in one step from a scenario and a sector
-count: the per-sector sample count ``l_sector`` and the post-beamforming SNR
-``phi_w``.
+Everything downstream works in two normalized coordinates, the cell
+``(l_sector, phi_w)`` that ``make_sweep_plan`` derives here in one step from
+a scenario and a sector count: the per-sector sample count and the
+post-beamforming SNR.
 All powers are SI watts internally; dBm appears only at the config-file
 boundary.
 
@@ -167,22 +167,6 @@ class ScenarioConfig:
         return int(math.floor(self.n_antennas * self.theta_t / 2.0))
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """The per-sector dwell and SNR of a sweep divided into ``m_sectors`` sectors.
-
-    ``l_sector`` and ``phi_w`` are the two numbers that fix the detector in a
-    sector. For an array of sector counts every field is an array over them.
-    ``l_sector`` is real-valued: l_total / m, whether or not m divides l_total.
-    """
-
-    m_sectors: int | np.ndarray
-    l_sector: FloatOrArray
-    phi_w: FloatOrArray
-
-    __eq__ = fields_equal
-
-
 def path_loss(cfg: ScenarioConfig) -> float:
     """Free-space style path loss rho = (c / (4 pi f_c))^2 * d^(-path_exp).
 
@@ -199,12 +183,18 @@ def path_loss(cfg: ScenarioConfig) -> float:
         ) from None
 
 
-def make_sweep_plan(cfg: ScenarioConfig, m: int | np.ndarray) -> SweepPlan:
-    """Divide the suspicious range into ``m`` sectors: the dwell and SNR of each.
+def make_sweep_plan(
+    cfg: ScenarioConfig, m: int | np.ndarray
+) -> tuple[FloatOrArray, FloatOrArray]:
+    """Divide the suspicious range into ``m`` sectors: the cell ``(l_sector, phi_w)``.
 
-    The steered array concentrates its gain on one sector at a time, so the
-    gain is inversely proportional to the sector width: gain = 2 / width =
-    2 m / theta_t, and the warden's SNR is phi_w = pa * rho * gain / noise.
+    The dwell and the SNR are the two numbers that fix the detector in a
+    sector: two Python floats for one ``m``, two arrays of its shape for an
+    array. The dwell is real-valued: l_total / m, whether or not m divides
+    l_total. The steered array concentrates its gain on one sector at a time,
+    so the gain is inversely proportional to the sector width: gain = 2 /
+    width = 2 m / theta_t, and the warden's SNR is phi_w = pa * rho * gain /
+    noise.
     Raises ValueError if ``m`` is outside [1, m_max], if the path loss
     overflows, or at the first sector count whose phi_w overflows.
     """
@@ -226,5 +216,5 @@ def make_sweep_plan(cfg: ScenarioConfig, m: int | np.ndarray) -> SweepPlan:
         gain = scalar_or_array(2.0 * as_floats(m) / cfg.theta_t)
         phi_w = cfg.pa_watt * path_loss(cfg) * gain / cfg.noise_watt
     require(finite_nonnegative(phi_w), "phi_w must be finite and >= 0, got {}", phi_w)
-    return SweepPlan(scalar_or_array(m), scalar_or_array(l_sector), phi_w)
+    return scalar_or_array(l_sector), phi_w
 

@@ -121,8 +121,7 @@ def test_criterion_06a_kl_approximation_error_growth():
     errors = []
     for phi in (0.01, 0.05, 0.2, 1.0):
         cfg = _scenario_with_phi(phi)
-        plan = make_sweep_plan(cfg, 1)
-        exact = kl_divergence_exact(plan.l_sector, plan.phi_w)
+        exact = kl_divergence_exact(*make_sweep_plan(cfg, 1))
         approx = kl_divergence_approx(cfg, 1)
         errors.append(abs(approx - exact) / exact)
     ok = all(b > a for a, b in zip(errors, errors[1:]))

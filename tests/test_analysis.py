@@ -187,16 +187,15 @@ class TestKlApproximation:
         # The raw-parameter expression equals l_s * phi^2 / (1 + phi).
         cfg = self.scenario()
         for m in (1, 4, 16, 67):
-            plan = make_sweep_plan(cfg, m)
-            expected = plan.l_sector * plan.phi_w ** 2 / (1.0 + plan.phi_w)
+            l_sector, phi_w = make_sweep_plan(cfg, m)
+            expected = l_sector * phi_w ** 2 / (1.0 + phi_w)
             assert kl_divergence_approx(cfg, m) == pytest.approx(expected, rel=1e-12)
 
     def test_overshoots_exact_by_factor_two_at_low_snr(self):
         # Replacing ln(1+phi) by phi doubles the leading phi^2/2 term, so the
         # ratio to the exact divergence tends to 2 from above as phi -> 0.
         cfg = self.scenario(pa_watt=1e-5)  # phi(m=1) ~ 1.9e-5
-        plan = make_sweep_plan(cfg, 1)
-        ratio = kl_divergence_approx(cfg, 1) / kl_divergence_exact(plan.l_sector, plan.phi_w)
+        ratio = kl_divergence_approx(cfg, 1) / kl_divergence_exact(*make_sweep_plan(cfg, 1))
         assert ratio == pytest.approx(2.0, rel=1e-4)
 
     def test_relative_error_grows_with_snr(self):
@@ -204,8 +203,7 @@ class TestKlApproximation:
         errors = []
         for pa in (1e-4, 1e-3, 1e-2, 0.1):
             cfg = self.scenario(pa_watt=pa)
-            plan = make_sweep_plan(cfg, 1)
-            exact = kl_divergence_exact(plan.l_sector, plan.phi_w)
+            exact = kl_divergence_exact(*make_sweep_plan(cfg, 1))
             approx = kl_divergence_approx(cfg, 1)
             errors.append(abs(approx - exact) / exact)
         assert all(b > a for a, b in zip(errors, errors[1:]))
@@ -222,6 +220,13 @@ class TestKlApproximation:
     def test_vanishes_with_power(self):
         cfg = self.scenario(pa_watt=1e-200)
         assert kl_divergence_approx(cfg, 4) < 1e-100
+
+    def test_underflowing_path_loss_is_a_value_error(self):
+        # At d_aw = 1e300 the path loss underflows to 0.0 rather than overflowing.
+        cfg = dataclasses.replace(fig3_config(), d_aw=1e300)
+        with pytest.raises(ValueError) as info:
+            kl_divergence_approx(cfg, 1)
+        assert str(info.value) == "rho_aw must be finite and > 0, got 0.0"
 
 
 class TestPinskerBound:
@@ -266,11 +271,11 @@ class TestAnalyzeScenario:
         result = analyze_scenario(cfg, 8)
         plan = make_sweep_plan(cfg, 8)
         assert isinstance(result, DetectionAnalysis)
-        assert (result.m, result.l_sector, result.phi_w) == (8, plan.l_sector, plan.phi_w)
-        assert result.alpha == false_alarm(plan.l_sector, plan.phi_w)
-        assert result.beta == miss_detection(plan.l_sector, plan.phi_w)
+        assert (result.m, result.l_sector, result.phi_w) == (8, *plan)
+        assert result.alpha == false_alarm(*plan)
+        assert result.beta == miss_detection(*plan)
         assert result.xi == result.alpha + result.beta
-        assert result.kl_exact == kl_divergence_exact(plan.l_sector, plan.phi_w)
+        assert result.kl_exact == kl_divergence_exact(*plan)
         assert result.kl_approx == kl_divergence_approx(cfg, 8)
         assert result.pinsker_lb == pinsker_lower_bound(result.kl_exact)
         assert not result.pinsker_vacuous

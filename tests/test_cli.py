@@ -1345,6 +1345,20 @@ class TestExitCodes:
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (["--set", "foo"], "override 'foo' is not of the form key=value"),
+            (["--set", "d_aw=1", "--set", "d_aw=2"], "override key 'd_aw' given twice"),
+        ],
+        ids=["no-equals", "repeated-key"],
+    )
+    def test_malformed_override_maps_to_one(self, tmp_path, capsys, overrides, message):
+        out = str(tmp_path / "x.csv")
+        assert main(["sweep-m", "--config", FIG3_CFG, *overrides, "--out", out]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
     def test_memory_error_maps_to_one(self, tmp_path, monkeypatch, capsys):
         # As numpy raises it for a curve too large to allocate, without
         # allocating anything here.

@@ -6,7 +6,6 @@ import pytest
 from beamsweep import analysis, montecarlo
 from beamsweep.core import (
     ScenarioConfig,
-    SweepPlan,
     dbm_to_watt,
     make_sweep_plan,
     path_loss,
@@ -93,13 +92,13 @@ class TestSweepPlan:
         cfg = default_config(theta_t=0.5, l_total=160, n_antennas=128)
         plan = make_sweep_plan(cfg, 1)
         phi_w = cfg.pa_watt * path_loss(cfg) * 4.0 / cfg.noise_watt
-        assert plan == SweepPlan(m_sectors=1, l_sector=160.0, phi_w=phi_w)
+        assert plan == (160.0, phi_w)
 
     def test_four_sectors(self):
         cfg = default_config()
-        plan = make_sweep_plan(cfg, 4)
-        assert plan.l_sector == 8.0
-        gain = plan.phi_w * cfg.noise_watt / (cfg.pa_watt * path_loss(cfg))
+        l_sector, phi_w = make_sweep_plan(cfg, 4)
+        assert l_sector == 8.0
+        gain = phi_w * cfg.noise_watt / (cfg.pa_watt * path_loss(cfg))
         assert gain == pytest.approx(24.0 / math.pi, rel=1e-14)
 
     @pytest.mark.parametrize("m", [0, -1, 68, 1000])
@@ -110,12 +109,12 @@ class TestSweepPlan:
     @pytest.mark.parametrize("m", [1, 2, 7, 31, 67])
     def test_gain_width_product(self, m):
         cfg = default_config()
-        plan = make_sweep_plan(cfg, m)
+        l_sector, phi_w = make_sweep_plan(cfg, m)
         sector_width = cfg.theta_t / m
         gain = array_gain(cfg, m)
-        assert plan.phi_w == cfg.pa_watt * path_loss(cfg) * gain / cfg.noise_watt
+        assert phi_w == cfg.pa_watt * path_loss(cfg) * gain / cfg.noise_watt
         assert gain * sector_width == pytest.approx(2.0, abs=1e-15)
-        assert plan.l_sector == cfg.l_total / m
+        assert l_sector == cfg.l_total / m
 
 
 class TestLinkBudget:
@@ -131,12 +130,12 @@ class TestLinkBudget:
             d_aw=1.0,
             carrier_hz=3.0e8 / (4.0 * math.pi),
         )
-        plan = make_sweep_plan(cfg, 1)
+        _, phi_w = make_sweep_plan(cfg, 1)
         assert array_gain(cfg, 1) == 1.0
-        assert plan.phi_w == cfg.pa_watt * path_loss(cfg) * 1.0 / cfg.noise_watt
+        assert phi_w == cfg.pa_watt * path_loss(cfg) * 1.0 / cfg.noise_watt
         assert path_loss(cfg) == pytest.approx(1.0, rel=1e-14)
-        assert plan.phi_w == pytest.approx(1.0, rel=1e-14)
-        assert h0_factor(plan.phi_w) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+        assert phi_w == pytest.approx(1.0, rel=1e-14)
+        assert h0_factor(phi_w) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
 
     def test_path_loss_value(self):
         cfg = default_config(d_aw=100.0, carrier_hz=2.4e9, path_exp=2.0)
@@ -158,12 +157,12 @@ class TestLinkBudget:
     def test_sweep_plan_over_an_array_of_sector_counts(self):
         cfg = default_config()
         ms = np.arange(1, cfg.m_max + 1)
-        plan = make_sweep_plan(cfg, ms)
-        for m, l_sector, phi_w in zip(ms.tolist(), plan.l_sector.tolist(), plan.phi_w.tolist()):
+        l_sectors, phis = make_sweep_plan(cfg, ms)
+        for m, l_sector, phi_w in zip(ms.tolist(), l_sectors.tolist(), phis.tolist()):
             one = make_sweep_plan(cfg, m)
-            assert type(one.l_sector) is float and type(one.m_sectors) is int
-            assert type(one.phi_w) is float
-            assert (one.l_sector, one.phi_w) == (l_sector, phi_w)
+            assert type(one[0]) is float
+            assert type(one[1]) is float
+            assert one == (l_sector, phi_w)
 
     @pytest.mark.parametrize("l_total", [160, 2**53, 2**53 + 1, 10**20])
     def test_dwell_is_the_correctly_rounded_quotient(self, l_total):
@@ -171,8 +170,8 @@ class TestLinkBudget:
         # above it, rounding l_total first would move some quotients.
         cfg = default_config(l_total=l_total)
         ms = np.arange(1, cfg.m_max + 1)
-        assert make_sweep_plan(cfg, ms).l_sector.tolist() == [l_total / m for m in ms.tolist()]
-        assert [make_sweep_plan(cfg, m).l_sector for m in ms.tolist()] == [
+        assert make_sweep_plan(cfg, ms)[0].tolist() == [l_total / m for m in ms.tolist()]
+        assert [make_sweep_plan(cfg, m)[0] for m in ms.tolist()] == [
             l_total / m for m in ms.tolist()
         ]
 
@@ -194,15 +193,14 @@ class TestLinkBudget:
 
     def test_vanishing_power_keeps_threshold_finite(self):
         cfg = default_config(pa_watt=1e-300)
-        plan = make_sweep_plan(cfg, 4)
-        assert plan.phi_w > 0.0
+        _, phi_w = make_sweep_plan(cfg, 4)
+        assert phi_w > 0.0
         # The threshold noise * gain * h0 tends to noise * gain as phi -> 0.
-        assert h0_factor(plan.phi_w) == pytest.approx(1.0, rel=1e-9)
-        assert isinstance(plan, SweepPlan)
+        assert h0_factor(phi_w) == pytest.approx(1.0, rel=1e-9)
 
     def test_phi_monotone_in_sectors_noise_distance(self):
         cfg = default_config()
-        phis = [make_sweep_plan(cfg, m).phi_w for m in range(1, 11)]
+        phis = [make_sweep_plan(cfg, m)[1] for m in range(1, 11)]
         assert all(b > a for a, b in zip(phis, phis[1:]))
 
         for noisy, quiet in [(1e-7, 1e-8), (1e-8, 1e-9)]:
@@ -216,17 +214,17 @@ class TestLinkBudget:
     @pytest.mark.parametrize("m", [1, 4, 31, 67])
     def test_normalized_threshold_identities(self, m):
         cfg = default_config()
-        plan = make_sweep_plan(cfg, m)
-        l_s, gain, rho = plan.l_sector, array_gain(cfg, m), path_loss(cfg)
+        l_s, phi_w = make_sweep_plan(cfg, m)
+        gain, rho = array_gain(cfg, m), path_loss(cfg)
         # The raw threshold ln(1+phi) (noise/(pa*rho) + gain) * noise.
-        eta = math.log1p(plan.phi_w) * (
+        eta = math.log1p(phi_w) * (
             cfg.noise_watt / (cfg.pa_watt * rho) + gain
         ) * cfg.noise_watt
         lhs_h0 = eta * l_s / (gain * cfg.noise_watt)
-        assert lhs_h0 == pytest.approx(l_s * h0_factor(plan.phi_w), rel=1e-12)
+        assert lhs_h0 == pytest.approx(l_s * h0_factor(phi_w), rel=1e-12)
         h1_scale = gain * (gain * cfg.pa_watt * rho + cfg.noise_watt)
         lhs_h1 = eta * l_s / h1_scale
-        assert lhs_h1 == pytest.approx(l_s * h1_factor(plan.phi_w), rel=1e-12)
+        assert lhs_h1 == pytest.approx(l_s * h1_factor(phi_w), rel=1e-12)
 
 
 class TestThresholdFactors:
@@ -258,4 +256,4 @@ class TestThresholdFactors:
 
 
 def _phi(cfg: ScenarioConfig) -> float:
-    return make_sweep_plan(cfg, 1).phi_w
+    return make_sweep_plan(cfg, 1)[1]

@@ -252,13 +252,6 @@ class TestRecordEquality:
         assert changed != curve.analysis
         assert dataclasses.replace(curve, analysis=changed) != curve
 
-    def test_sweep_plans(self):
-        cfg = fig3_config()
-        plan = make_sweep_plan(cfg, np.arange(1, 5))
-        assert plan == make_sweep_plan(cfg, np.arange(1, 5))
-        assert plan != make_sweep_plan(cfg, np.arange(1, 6))
-        assert plan != make_sweep_plan(cfg, np.arange(2, 6))
-
     def test_scalar_records_compare_as_before(self):
         cfg = fig3_config()
         point = analyze_scenario(cfg, 8)

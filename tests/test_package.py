@@ -40,7 +40,6 @@ def test_fields_only_tests_read_are_gone():
     def fields(cls):
         return {field.name for field in dataclasses.fields(cls)}
 
-    assert fields(beamsweep.SweepPlan) == {"m_sectors", "l_sector", "phi_w"}
     # Per call, not per cell: the dwell is the cell's own l_s.
     assert fields(beamsweep.McConfig) == {"trials", "seed"}
     # trials echoed the input, and xi_hat is alpha_hat + beta_hat.
