@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
-from scipy.special import gammainc, gammaincc
+from scipy.special import gammainc, gammaincc, gammaln
 
 from .core import (
     FloatOrArray,
@@ -162,6 +162,27 @@ def _false_alarm(
     return alpha
 
 
+def _miss_detection(
+    l_s: FloatOrArray, phi_w: FloatOrArray, log_term: FloatOrArray, x1: FloatOrArray
+) -> FloatOrArray:
+    """P(l_s, x1) at a checked point with ln(1+phi_w) ``log_term`` and H1 threshold x1.
+
+    x1 underflows to 0 at tiny dwells and huge SNRs, where P(l_s, 0) = 0 is
+    wrong. Its true value lies below the smallest double there, where P(a, x)
+    is x**a / Gamma(1+a) to double precision; that is taken in logs, with
+    ln x1 = ln l_s + ln ln(1+phi) - ln phi.
+    """
+    beta = _lower_gamma(l_s, x1)
+    under = x1 == 0.0
+    if np.count_nonzero(under):
+        beta = np.array(beta)
+        l_s, log_term, phi_w = (np.broadcast_to(v, x1.shape)[under] for v in (l_s, log_term, phi_w))
+        log_x1 = np.log(l_s) + np.log(log_term) - np.log(phi_w)
+        beta[under] = np.exp(l_s * log_x1 - gammaln(1.0 + l_s))
+        beta = beta[()]
+    return beta
+
+
 def _kl_exact(
     l_s: FloatOrArray, phi_w: FloatOrArray, log_term: FloatOrArray
 ) -> FloatOrArray:
@@ -199,8 +220,8 @@ def miss_detection(l_s: FloatOrArray, phi_w: FloatOrArray) -> FloatOrArray:
     their relative accuracy.
     """
     l_s, phi_w = _point(l_s, phi_w)
-    _, _, x1 = _thresholds(l_s, phi_w)
-    return scalar_or_array(_lower_gamma(l_s, x1))
+    log_term, _, x1 = _thresholds(l_s, phi_w)
+    return scalar_or_array(_miss_detection(l_s, phi_w, log_term, x1))
 
 
 def total_error(l_s: FloatOrArray, phi_w: FloatOrArray) -> FloatOrArray:
@@ -285,7 +306,7 @@ def analyze_scenario(
         l_s, phi = _point(l_sector, phi_w)
         log_term, x0, x1 = _thresholds(l_s, phi)
         alpha = _false_alarm(l_s, phi, x0, x1)
-        beta = _lower_gamma(l_s, x1)
+        beta = _miss_detection(l_s, phi, log_term, x1)
         kl = _kl_exact(l_s, phi, log_term)
         kl_approx = _kl_approx(cfg, as_floats(m), path_loss(cfg))
         return DetectionAnalysis(

@@ -17,7 +17,10 @@ an ``analyze`` row is the ``DetectionAnalysis`` field of the same name. A
 curve's rows are made by ``csvrows`` in blocks, the bytes of '%d' for ``m``
 and '%.17g' for the floats, and each block goes to the output file before
 the next is made; the one ``analyze`` row, like every ``validate`` row, is
-``format_value`` of each cell, which writes the same bytes.
+``format_value`` of each cell, which writes the same bytes. ``validate``
+evaluates its rows in one array pass: ``analyze_scenario`` over the
+``--config`` sector counts, the call ``sweep-m`` makes, so each row is the
+curve row of its ``m``, or ``false_alarm`` and ``miss_detection`` over a grid.
 Exit codes: 0 success, 1 validation, parse or out-of-memory failure, 2
 numerical convergence failure, 3 Monte Carlo validation failure.
 """
@@ -29,7 +32,9 @@ import errno
 import functools
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+
+import numpy as np
 
 from .analysis import (
     ConvergenceError,
@@ -37,7 +42,7 @@ from .analysis import (
     false_alarm,
     miss_detection,
 )
-from .core import ScenarioConfig, make_sweep_plan
+from .core import ScenarioConfig
 from .csvrows import record_blocks
 from .montecarlo import McConfig, McEstimate, estimate_cells, retry_seed
 from .optimizer import SweepCurve, sweep_sectors
@@ -148,14 +153,12 @@ def _text(lines: Iterable[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-
 def _curve_pieces(curve: SweepCurve, with_minimizer: bool = False) -> Iterator[str]:
     """The CSV of an error curve in pieces, optionally with the minimizer as a trailer line."""
     yield SWEEP_HEADER + "\n"
     yield from record_blocks(SWEEP_HEADER, curve.analysis)
     if with_minimizer:
         yield f"# m_star={curve.m_star},xi_star={format_value(curve.xi_star)}\n"
-
 
 
 def _require_out(args: argparse.Namespace) -> str:
@@ -207,28 +210,26 @@ def _run_curve(args: argparse.Namespace, raw: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def _validate_cells(args: argparse.Namespace, raw: dict[str, str]) -> list[tuple[float, float]]:
-    """The (l_s, phi_w) cells to check: the config's curve rows as written, or a grid."""
+def _validate_cells(args: argparse.Namespace, raw: dict[str, str]) -> Callable[[], tuple]:
+    """The cells, read now; the function returned checks them and gives l_s, phi_w, alpha, beta."""
     if args.config:
         if "l_s" in raw or "phi_w" in raw:
             raise ConfigError(
                 "with --config, validate derives l_s and phi_w from the scenario; "
                 "use --set m=... to pick sector counts"
             )
-        m_list = _parse_list("m", raw.pop("m"), as_int=True) if "m" in raw else [1]
+        m = _parse_list("m", raw.pop("m", "1"), as_int=True)
         _, cfg = _load_scenario_for(args, raw)
-        return [make_sweep_plan(cfg, m) for m in m_list]
+        def curve_rows():
+            rows = analyze_scenario(cfg, m)
+            return rows.l_sector, rows.phi_w, rows.alpha, rows.beta
+        return curve_rows
     if "m" in raw:
         raise ConfigError("--set m=... requires --config")
-    ls_list = (
-        _parse_list("l_s", raw.pop("l_s"), as_int=False) if "l_s" in raw else [1, 4, 16]
-    )
-    phi_list = (
-        _parse_list("phi_w", raw.pop("phi_w"), as_int=False)
-        if "phi_w" in raw
-        else [0.1, 1.0, 10.0]
-    )
-    return [(l_s, phi) for l_s in ls_list for phi in phi_list]
+    ls_list = _parse_list("l_s", raw.pop("l_s", "1,4,16"), as_int=False)
+    phi_list = _parse_list("phi_w", raw.pop("phi_w", "0.1,1,10"), as_int=False)
+    l_s, phi_w = np.array([(l_s, phi) for l_s in ls_list for phi in phi_list]).T
+    return lambda: (l_s, phi_w, false_alarm(l_s, phi_w), miss_detection(l_s, phi_w))
 
 
 def _confirms(est: McEstimate, alpha: float, beta: float) -> bool:
@@ -240,37 +241,37 @@ def _confirms(est: McEstimate, alpha: float, beta: float) -> bool:
 
 
 def _run_validate(args: argparse.Namespace, raw: dict[str, str]) -> int:
-    cells = _validate_cells(args, raw)
+    evaluate = _validate_cells(args, raw)
     _reject_unknown(raw)
     out = _require_out(args)
 
     # Every check runs before any Monte Carlo stream starts: the run
-    # parameters, then the closed forms' one check of each cell, which
-    # estimate_cells repeats from the same code.
+    # parameters, then the cells' checks in their one array evaluation,
+    # which estimate_cells repeats from the same code.
     mc = McConfig(trials=args.trials, seed=args.seed)
-    closed_forms = [(false_alarm(l_s, phi_w), miss_detection(l_s, phi_w)) for l_s, phi_w in cells]
+    l_s, phi_w, alpha, beta = (column.tolist() for column in evaluate())
+    cells = list(zip(l_s, phi_w))
     estimates = estimate_cells(cells, mc)
     # One reseeded rerun of each failing cell before declaring a defect; the
     # retry seed is a fixed function of the original, so reruns reproduce.
-    failing = [i for i, est in enumerate(estimates) if not _confirms(est, *closed_forms[i])]
+    failing = [i for i, est in enumerate(estimates) if not _confirms(est, alpha[i], beta[i])]
     retry = retry_seed(args.seed)
     retried = estimate_cells([cells[i] for i in failing], McConfig(trials=args.trials, seed=retry))
     for i, est in zip(failing, retried):
         estimates[i] = est
 
-    lines, all_pass = [VALIDATE_HEADER], True
-    for i, ((l_s, phi_w), (alpha, beta), est) in enumerate(zip(cells, closed_forms, estimates)):
-        ok = _confirms(est, alpha, beta)
-        all_pass = all_pass and ok
+    passed = [_confirms(*row) for row in zip(estimates, alpha, beta)]
+    lines = [VALIDATE_HEADER]
+    for i, est in enumerate(estimates):
         row = (  # in VALIDATE_HEADER order
-            l_s, phi_w, args.trials, retry if i in failing else args.seed, i in failing,
-            alpha, est.alpha_hat, est.ci_halfwidth_alpha,
-            beta, est.beta_hat, est.ci_halfwidth_beta,
-            alpha + beta, est.alpha_hat + est.beta_hat, ok,
+            l_s[i], phi_w[i], args.trials, retry if i in failing else args.seed, i in failing,
+            alpha[i], est.alpha_hat, est.ci_halfwidth_alpha,
+            beta[i], est.beta_hat, est.ci_halfwidth_beta,
+            alpha[i] + beta[i], est.alpha_hat + est.beta_hat, passed[i],
         )
         lines.append(",".join(map(format_value, row)))
     _write_atomic([(out, [_text(lines)])])
-    return EXIT_OK if all_pass else EXIT_MC_FAIL
+    return EXIT_OK if all(passed) else EXIT_MC_FAIL
 
 
 def _run_repro(args: argparse.Namespace, raw: dict[str, str]) -> int:
@@ -354,9 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add_command("validate", _run_validate, "Monte Carlo check of the closed forms")
     p.add_argument(
-        "--trials",
-        type=int,
-        default=DEFAULT_TRIALS,
+        "--trials", type=int, default=DEFAULT_TRIALS,
         help=f"trials per hypothesis (default {DEFAULT_TRIALS})",
     )
     p.add_argument(

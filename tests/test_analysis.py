@@ -137,6 +137,18 @@ class TestTinyDwell:
         threshold = l_s * (math.log1p(phi) / phi)
         assert beta == float(reg_lower_gamma_reference(l_s, threshold))
 
+    @pytest.mark.parametrize("l_s, phi", [(5e-324, 1e308), (1e-100, 1e300), (1e-200, 1e200)])
+    def test_underflowing_h1_threshold_keeps_beta(self, l_s, phi):
+        # The H1 threshold rounds to 0 here (about 3.5e-629 at the first
+        # point), where P(l_s, 0) = 0 would be wrong: beta is within an ulp of 1.
+        assert l_s * (math.log1p(phi) / phi) == 0.0
+        with mp.workdps(50):
+            threshold = mp.mpf(l_s) * mp.log1p(phi) / phi
+        reference = float(reg_lower_gamma_reference(l_s, threshold))
+        assert reference == 1.0
+        assert miss_detection(l_s, phi) == reference
+        assert miss_detection(np.array([l_s, 1.0]), phi).tolist()[0] == reference
+
     def test_overflowing_threshold_gives_no_false_alarm(self):
         # The H0 threshold of l_s = 1e308 overflows to inf; the suite turns
         # numpy's overflow warning into an error.

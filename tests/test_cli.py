@@ -357,11 +357,65 @@ class TestValidateCommand:
         assert row["l_s"] == "10.666666666666666"
         assert as_curve_cells(row) == curve_cells(csv_rows(curve)[2])
 
+    def test_config_rows_are_the_sweep_rows_in_the_order_given(self, tmp_path):
+        # Unsorted, with a repeat: each row is the curve row of its m.
+        out, curve = tmp_path / "val.csv", tmp_path / "curve.csv"
+        argv = ["validate", "--config", FIG3_CFG, "--set", "m=67,31,1,31", "--trials", "20000"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert main(["sweep-m", "--config", FIG3_CFG, "--out", str(curve)]) == 0
+        sweep = csv_rows(curve)
+        assert [as_curve_cells(row) for row in csv_rows(out)] == [
+            curve_cells(sweep[m - 1]) for m in (67, 31, 1, 31)
+        ]
+
+    def test_config_rows_beyond_int64_are_the_analyze_rows(self, tmp_path):
+        # m_max is about 5e39, too many rows for sweep-m: each row is the
+        # one analyze writes, which is the curve row (TestCrossCommand).
+        wide = ["--config", FIG3_CFG, "--set", f"n_antennas={10**40}"]
+        m_list = [10**30, 7, 10**30 + 1]
+        out = tmp_path / "val.csv"
+        argv = ["validate", *wide, "--set", f"m={','.join(map(str, m_list))}", "--trials", "2000"]
+        assert main([*argv, "--out", str(out)]) == 0
+        analyzed = []
+        for m in m_list:
+            row = tmp_path / f"m{m}.csv"
+            assert main(["analyze", *wide, "--set", f"m={m}", "--out", str(row)]) == 0
+            (analyze_row,) = csv_rows(row)
+            analyzed.append(curve_cells(analyze_row))
+        assert [as_curve_cells(row) for row in csv_rows(out)] == analyzed
+
+    def test_grid_rows_are_the_scalar_closed_forms(self, tmp_path):
+        # The grid's one array pass writes, cell by cell, the bytes of the
+        # closed forms called at that cell alone, at extreme dwells and SNRs.
+        ls_list, phi_list = ["1e-300", "0.5", "4", "1e12"], ["1e-20", "0.3", "10", "1e300"]
+        out = tmp_path / "val.csv"
+        argv = ["validate", "--set", f"l_s={','.join(ls_list)}",
+                "--set", f"phi_w={','.join(phi_list)}", "--trials", "100"]
+        assert main([*argv, "--out", str(out)]) in (0, 3)
+        expected = []
+        for l_s in map(float, ls_list):
+            for phi_w in map(float, phi_list):
+                alpha, beta = analysis.false_alarm(l_s, phi_w), analysis.miss_detection(l_s, phi_w)
+                cells = (l_s, phi_w, alpha, beta, alpha + beta)
+                expected.append(dict(zip(CURVE_CELLS, map(presets.format_value, cells))))
+        rows = csv_rows(out)
+        assert [{column: row[column] for column in CURVE_CELLS} for row in rows] == expected
+
+    def test_underflowing_h1_threshold_cell_passes(self, tmp_path):
+        # The H1 threshold rounds to 0 here; beta = 1, as every trial misses.
+        out = tmp_path / "val.csv"
+        argv = ["validate", "--set", "l_s=5e-324", "--set", "phi_w=1e308", "--trials", "1000"]
+        assert main([*argv, "--out", str(out)]) == 0
+        (row,) = csv_rows(out)
+        assert (row["beta"], row["beta_hat"], row["retried"], row["pass"]) == (
+            "1", "1", "false", "true"
+        )
+
     def test_unconfirmable_cell_exits_three(self, tmp_path, monkeypatch):
         # A closed form that is genuinely wrong (alpha off by 0.1 at a cell
         # where 1e4 trials resolve it to about 0.004) fails the first run and
         # the reseeded retry alike.
-        monkeypatch.setattr(cli, "false_alarm", lambda l_s, phi_w: 0.35)
+        monkeypatch.setattr(cli, "false_alarm", lambda l_s, phi_w: np.full_like(l_s, 0.35))
         out = tmp_path / "val.csv"
         code = main(
             [
@@ -489,7 +543,7 @@ class TestValidateConcurrency:
 
     def test_retried_cell_bytes_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch, probe):
         # As in test_unconfirmable_cell_exits_three: both rounds fail.
-        monkeypatch.setattr(cli, "false_alarm", lambda l_s, phi_w: 0.35)
+        monkeypatch.setattr(cli, "false_alarm", lambda l_s, phi_w: np.full_like(l_s, 0.35))
         argv = ["--set", "l_s=1", "--set", "phi_w=1", "--trials", "10000"]
         one = self.run_with_cpus(monkeypatch, probe, tmp_path, 1, argv)
         three = self.run_with_cpus(monkeypatch, probe, tmp_path, 3, argv)
@@ -529,7 +583,7 @@ class TestValidateConcurrency:
         # those two cells, at the retry seed, in one call.
         false_alarm = cli.false_alarm
         monkeypatch.setattr(
-            cli, "false_alarm", lambda l_s, phi_w: 0.35 if l_s == 1 else false_alarm(l_s, phi_w)
+            cli, "false_alarm", lambda l_s, phi_w: np.where(l_s == 1, 0.35, false_alarm(l_s, phi_w))
         )
         estimate_cells = cli.estimate_cells
         calls = []
@@ -568,6 +622,11 @@ class TestValidateConcurrency:
             (["--set", "l_s=4,0", "--set", "phi_w=1", "--seed", "-1"],
              "seed must be a 64-bit unsigned integer, got -1"),
             (["--set", "l_s=0", "--set", "phi_w=1", "--trials", "0"],
+             "trials must be >= 1, got 0"),
+            # The grid is checked as arrays, every l_s before any phi_w.
+            (["--set", "l_s=1,-1", "--set", "phi_w=-1"], "l_s must be finite and > 0, got -1.0"),
+            # A config's sector counts are checked with its rows, after the run parameters.
+            (["--config", FIG3_CFG, "--set", "m=0", "--trials", "0"],
              "trials must be >= 1, got 0"),
         ],
     )
