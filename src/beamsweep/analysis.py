@@ -190,7 +190,8 @@ def _kl_exact(
 
     That difference cancels at small phi: below 0.03, under the smallest
     phi_w of a pinned curve (0.0396), the per-sample term is the series
-    -ln(1-u) - u = sum over k >= 2 of u**k / k, to k = 16 by Horner.
+    -ln(1-u) - u = sum over k >= 2 of u**k / k, to k = 16 by Horner. A
+    divergence beyond the float range is inf, without a numpy warning.
     """
     u = np.asarray(phi_w / (1.0 + phi_w))
     per_sample = np.asarray(log_term - u)
@@ -198,7 +199,8 @@ def _kl_exact(
     if np.count_nonzero(small):
         u = u[small]
         per_sample[small] = u * u * polyval(u, 1.0 / np.arange(2.0, 17.0))
-    return l_s * per_sample[()]
+    with np.errstate(over="ignore"):
+        return l_s * per_sample[()]
 
 
 def false_alarm(l_s: FloatOrArray, phi_w: FloatOrArray) -> FloatOrArray:
@@ -278,7 +280,9 @@ def pinsker_lower_bound(kl: FloatOrArray) -> FloatOrArray:
     """Information-theoretic floor on the detection error: 1 - sqrt(kl/2).
 
     May be negative, in which case the bound is vacuous; it is reported
-    as-is and flagged by DetectionAnalysis.pinsker_vacuous.
+    as-is and flagged by DetectionAnalysis.pinsker_vacuous. ``analyze_scenario``
+    takes the same formula of its own kl, which is inf where the divergence
+    overflows, and so writes -inf there.
     """
     kl = as_floats(kl)
     require(finite_nonnegative(kl), "kl must be finite and >= 0, got {}", kl)
@@ -309,8 +313,8 @@ def analyze_scenario(
         beta = _miss_detection(l_s, phi, log_term, x1)
         kl = _kl_exact(l_s, phi, log_term)
         kl_approx = _kl_approx(cfg, as_floats(m), path_loss(cfg))
+        pinsker_lb = 1.0 - np.sqrt(kl / 2.0)  # -inf where kl overflows
         return DetectionAnalysis(
             scalar_or_array(m), l_sector, phi_w,
-            *map(scalar_or_array, (alpha, beta, alpha + beta, kl, kl_approx)),
-            pinsker_lower_bound(kl),
+            *map(scalar_or_array, (alpha, beta, alpha + beta, kl, kl_approx, pinsker_lb)),
         )

@@ -17,10 +17,12 @@ an ``analyze`` row is the ``DetectionAnalysis`` field of the same name. A
 curve's rows are made by ``csvrows`` in blocks, the bytes of '%d' for ``m``
 and '%.17g' for the floats, and each block goes to the output file before
 the next is made; the one ``analyze`` row, like every ``validate`` row, is
-``format_value`` of each cell, which writes the same bytes. ``validate``
-evaluates its rows in one array pass: ``analyze_scenario`` over the
-``--config`` sector counts, the call ``sweep-m`` makes, so each row is the
-curve row of its ``m``, or ``false_alarm`` and ``miss_detection`` over a grid.
+``format_value`` of each cell, which writes the same bytes. Each
+``validate`` row is the closed forms at its cell: the cells come from the
+grid, the product of the ``l_s`` and ``phi_w`` lists, or from
+``make_sweep_plan`` over the ``--config`` sector counts, the first step of
+``analyze_scenario``, so such a row is the curve row of its ``m``; one
+``false_alarm`` and one ``miss_detection`` call evaluate every cell.
 Exit codes: 0 success, 1 validation, parse or out-of-memory failure, 2
 numerical convergence failure, 3 Monte Carlo validation failure.
 """
@@ -32,7 +34,7 @@ import errno
 import functools
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -42,7 +44,7 @@ from .analysis import (
     false_alarm,
     miss_detection,
 )
-from .core import ScenarioConfig
+from .core import ScenarioConfig, make_sweep_plan
 from .csvrows import record_blocks
 from .montecarlo import McConfig, McEstimate, estimate_cells, retry_seed
 from .optimizer import SweepCurve, sweep_sectors
@@ -210,28 +212,6 @@ def _run_curve(args: argparse.Namespace, raw: dict[str, str]) -> int:
     return EXIT_OK
 
 
-def _validate_cells(args: argparse.Namespace, raw: dict[str, str]) -> Callable[[], tuple]:
-    """The cells, read now; the function returned checks them and gives l_s, phi_w, alpha, beta."""
-    if args.config:
-        if "l_s" in raw or "phi_w" in raw:
-            raise ConfigError(
-                "with --config, validate derives l_s and phi_w from the scenario; "
-                "use --set m=... to pick sector counts"
-            )
-        m = _parse_list("m", raw.pop("m", "1"), as_int=True)
-        _, cfg = _load_scenario_for(args, raw)
-        def curve_rows():
-            rows = analyze_scenario(cfg, m)
-            return rows.l_sector, rows.phi_w, rows.alpha, rows.beta
-        return curve_rows
-    if "m" in raw:
-        raise ConfigError("--set m=... requires --config")
-    ls_list = _parse_list("l_s", raw.pop("l_s", "1,4,16"), as_int=False)
-    phi_list = _parse_list("phi_w", raw.pop("phi_w", "0.1,1,10"), as_int=False)
-    l_s, phi_w = np.array([(l_s, phi) for l_s in ls_list for phi in phi_list]).T
-    return lambda: (l_s, phi_w, false_alarm(l_s, phi_w), miss_detection(l_s, phi_w))
-
-
 def _confirms(est: McEstimate, alpha: float, beta: float) -> bool:
     """Whether both closed forms lie within three half-widths of the estimates."""
     return (
@@ -241,16 +221,30 @@ def _confirms(est: McEstimate, alpha: float, beta: float) -> bool:
 
 
 def _run_validate(args: argparse.Namespace, raw: dict[str, str]) -> int:
-    evaluate = _validate_cells(args, raw)
+    if args.config:
+        if "l_s" in raw or "phi_w" in raw:
+            raise ConfigError(
+                "with --config, validate derives l_s and phi_w from the scenario; "
+                "use --set m=... to pick sector counts"
+            )
+        m = _parse_list("m", raw.pop("m", "1"), as_int=True)
+        _, cfg = _load_scenario_for(args, raw)
+    elif "m" in raw:
+        raise ConfigError("--set m=... requires --config")
+    else:
+        ls_list = _parse_list("l_s", raw.pop("l_s", "1,4,16"), as_int=False)
+        phi_list = _parse_list("phi_w", raw.pop("phi_w", "0.1,1,10"), as_int=False)
+        grid = np.array([(l_s, phi) for l_s in ls_list for phi in phi_list]).T
     _reject_unknown(raw)
     out = _require_out(args)
 
     # Every check runs before any Monte Carlo stream starts: the run
-    # parameters, then the cells' checks in their one array evaluation,
-    # which estimate_cells repeats from the same code.
+    # parameters, then the cells' checks in the closed forms' one array
+    # pass, which estimate_cells repeats from the same code.
     mc = McConfig(trials=args.trials, seed=args.seed)
-    l_s, phi_w, alpha, beta = (column.tolist() for column in evaluate())
-    cells = list(zip(l_s, phi_w))
+    l_s, phi_w = make_sweep_plan(cfg, m) if args.config else grid
+    alpha, beta = false_alarm(l_s, phi_w).tolist(), miss_detection(l_s, phi_w).tolist()
+    cells = list(zip(l_s.tolist(), phi_w.tolist()))
     estimates = estimate_cells(cells, mc)
     # One reseeded rerun of each failing cell before declaring a defect; the
     # retry seed is a fixed function of the original, so reruns reproduce.
@@ -264,7 +258,7 @@ def _run_validate(args: argparse.Namespace, raw: dict[str, str]) -> int:
     lines = [VALIDATE_HEADER]
     for i, est in enumerate(estimates):
         row = (  # in VALIDATE_HEADER order
-            l_s[i], phi_w[i], args.trials, retry if i in failing else args.seed, i in failing,
+            *cells[i], args.trials, retry if i in failing else args.seed, i in failing,
             alpha[i], est.alpha_hat, est.ci_halfwidth_alpha,
             beta[i], est.beta_hat, est.ci_halfwidth_beta,
             alpha[i] + beta[i], est.alpha_hat + est.beta_hat, passed[i],

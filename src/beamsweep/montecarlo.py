@@ -150,23 +150,27 @@ def _count_events(
 def estimate_cells(cells: Sequence[tuple[float, float]], mc: McConfig) -> list[McEstimate]:
     """Both error probabilities of each (l_s, phi_w) cell by direct simulation, in order.
 
-    A cell's check and thresholds are the closed forms' (``_point`` and
-    ``_thresholds``), so any finite l_s > 0 is simulated at its real shape.
-    Every cell runs ``mc.trials`` trials from ``mc.seed``, and every cell is
-    checked, on the calling thread, before any job starts. Each distinct
-    l_s is one stream, and each of its chunks one job; the jobs are ordered
-    by the dwell's first cell, then by chunk, and a job's index maps to its
-    (dwell, chunk) by division, so no job list is built.
+    The cells' check and thresholds are the closed forms' (``_point`` and
+    ``_thresholds``), in one array call each, so any finite l_s > 0 is
+    simulated at its real shape. Every cell runs ``mc.trials`` trials from
+    ``mc.seed``, and every cell is checked, on the calling thread, before any
+    job starts: every l_s before any phi_w, as in the closed forms. Each
+    distinct checked l_s, a float, is one stream, and each of its chunks one
+    job; the jobs are ordered by the dwell's first cell, then by chunk, and a
+    job's index maps to its (dwell, chunk) by division, so no job list is
+    built.
     The calling thread runs jobs too, beside one helper thread per further
     usable CPU. The first job to fail, in that order, raises here as it
     would from a loop over the jobs; no job starts after a failure, and no
     helper thread outlives the call, an interrupt included. A worker holds
     one chunk at a time, so memory grows with the workers, not the trials.
     """
-    # The (cell, x0, x1) of every cell of each distinct dwell.
+    l_s, phi_w = _point(*np.array(cells, dtype=float).reshape(len(cells), 2).T)
+    _, x0, x1 = _thresholds(l_s, phi_w)
+    # The (cell, x0, x1) of every cell of each distinct checked dwell.
     dwells: dict[float, list[tuple[int, float, float]]] = {}
-    for index, (l_s, phi_w) in enumerate(cells):
-        dwells.setdefault(l_s, []).append((index, *_thresholds(*_point(l_s, phi_w))[1:]))
+    for index, (dwell, *thresholds) in enumerate(zip(l_s.tolist(), x0.tolist(), x1.tolist())):
+        dwells.setdefault(dwell, []).append((index, *thresholds))
     streams = list(dwells.items())
     chunks = -(-mc.trials // _CHUNK_TRIALS)
     jobs = len(streams) * chunks

@@ -87,19 +87,21 @@ def effective_values(values: dict[str, float | int]) -> dict[str, float | int]:
     return {**_DEFAULT_VALUES, **values}
 
 
-def parse_scalar(key: str, text: str, as_int: bool, where: str = "") -> float | int:
-    """One config or override value: an integer or a number, finite as a float."""
-    prefix = f"{where}: " if where else ""
+def parse_scalar(key: str, text: str, as_int: bool, where: str) -> float | int:
+    """One config or override value: an integer or a number, finite as a float.
+
+    ``where``, the value's file and line or ``--set``, opens any error message.
+    """
     try:
         value = int(text) if as_int else float(text)
     except ValueError:
         kind = "an integer" if as_int else "a number"
-        raise ConfigError(f"{prefix}key '{key}' expects {kind}, got '{text}'") from None
+        raise ConfigError(f"{where}: key '{key}' expects {kind}, got '{text}'") from None
     # Integers are used as floats too (l_total / m, l_s, m_max), so both
     # kinds must lie within the float range; nan lies nowhere.
     if not abs(value) <= sys.float_info.max:
         problem = "exceeds the float range" if as_int else "must be finite"
-        raise ConfigError(f"{prefix}key '{key}' {problem}, got '{text}'")
+        raise ConfigError(f"{where}: key '{key}' {problem}, got '{text}'")
     return value
 
 

@@ -172,6 +172,12 @@ class TestKlDivergence:
     def test_nonnegative(self, phi):
         assert kl_divergence_exact(4.0, phi) > 0.0
 
+    def test_overflowing_divergence_is_inf_without_a_warning(self):
+        # l_s times the per-sample term exceeds the float range; the suite
+        # turns numpy's overflow warning into an error.
+        assert kl_divergence_exact(3e305, 1e300) == math.inf
+        assert kl_divergence_exact(np.array([3e305, 1.0]), 1e300).tolist()[0] == math.inf
+
     def test_relative_accuracy_at_low_snr(self):
         # ln(1+phi) - phi/(1+phi) cancels: it was 0.18 off at phi = 1e-15.
         phis = np.logspace(-15.0, -3.0, 25)
@@ -291,6 +297,17 @@ class TestAnalyzeScenario:
         assert result.kl_approx == kl_divergence_approx(cfg, 8)
         assert result.pinsker_lb == pinsker_lower_bound(result.kl_exact)
         assert not result.pinsker_vacuous
+
+    def test_overflowing_divergence_gives_a_vacuous_bound(self):
+        # kl overflows at m = 1, where alpha and beta are 0; the public
+        # pinsker_lower_bound still rejects that kl as an input.
+        cfg = dataclasses.replace(fig3_config(), pa_watt=1e297, l_total=3 * 10**305)
+        result = analyze_scenario(cfg, 1)
+        assert (result.alpha, result.beta) == (0.0, 0.0)
+        assert (result.kl_exact, result.pinsker_lb) == (math.inf, -math.inf)
+        assert result.pinsker_vacuous
+        with pytest.raises(ValueError, match="^kl must be finite and >= 0, got inf$"):
+            pinsker_lower_bound(result.kl_exact)
 
     def test_vacuous_flag(self):
         vacuous = DetectionAnalysis(

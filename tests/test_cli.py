@@ -384,6 +384,30 @@ class TestValidateCommand:
             analyzed.append(curve_cells(analyze_row))
         assert [as_curve_cells(row) for row in csv_rows(out)] == analyzed
 
+    @pytest.mark.parametrize(
+        "cells, expected",
+        [
+            (["--set", "l_s=1,4", "--set", "phi_w=0.5,2"], ["false_alarm", "miss_detection"]),
+            (["--config", FIG3_CFG, "--set", "m=67,31,1,31"],
+             ["make_sweep_plan", "false_alarm", "miss_detection"]),
+        ],
+        ids=["grid", "config"],
+    )
+    def test_rows_are_one_closed_form_pass(self, tmp_path, monkeypatch, cells, expected):
+        # Either cell source gives the cells, and one call of each closed
+        # form evaluates them all; no analysis record is built.
+        calls = []
+        for name in ("make_sweep_plan", "false_alarm", "miss_detection", "analyze_scenario"):
+            original = getattr(cli, name)
+            monkeypatch.setattr(
+                cli, name, lambda *args, name=name, original=original: (
+                    calls.append(name) or original(*args)
+                )
+            )
+        out = tmp_path / "val.csv"
+        assert main(["validate", *cells, "--trials", "2000", "--out", str(out)]) == 0
+        assert calls == expected
+
     def test_grid_rows_are_the_scalar_closed_forms(self, tmp_path):
         # The grid's one array pass writes, cell by cell, the bytes of the
         # closed forms called at that cell alone, at extreme dwells and SNRs.
@@ -1279,6 +1303,33 @@ class TestParserReuse:
             assert (fresh.returncode, fresh.stdout, fresh.stderr, written) == runs[index]
 
 
+class TestModuleEntryPoint:
+    """``python -m beamsweep`` runs ``main`` on its arguments and exits with its code."""
+
+    @pytest.mark.parametrize(
+        "with_out, code, err",
+        [(True, 0, ""), (False, 1, "error: command 'analyze' requires --out\n")],
+        ids=["out", "no-out"],
+    )
+    def test_runs_main(self, tmp_path, with_out, code, err):
+        argv = ["analyze", "--config", FIG3_CFG, "--set", "m=8"]
+        out = tmp_path / "module.csv"
+        dev_mode = ["-X", "dev"] if sys.flags.dev_mode else []
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, *dev_mode, "-m", "beamsweep", *argv,
+             *(["--out", str(out)] if with_out else [])],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (code, "", err)
+        if with_out:
+            in_process = tmp_path / "in_process.csv"
+            assert main([*argv, "--out", str(in_process)]) == 0
+            assert out.read_bytes() == in_process.read_bytes()
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+
 class TestExitCodes:
     def test_convergence_failure_maps_to_two(self, tmp_path, monkeypatch, capsys):
         def explode(cfg):
@@ -1335,6 +1386,25 @@ class TestExitCodes:
         out = str(tmp_path / "x.csv")
         assert main(["sweep-m", "--config", FIG3_CFG, *overrides, "--out", out]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep-m", "optimize", "validate"])
+    def test_overflowing_divergence_maps_to_zero(self, tmp_path, capsys, command):
+        # kl overflows at m = 1, where alpha = beta = 0: the bound is -inf,
+        # not a rejected input.
+        out = tmp_path / "x.csv"
+        scenario = ["--config", FIG3_CFG, "--set", "pa_dbm=3000", "--set", f"l_total={3 * 10**305}"]
+        extra = {"analyze": ["--set", "m=1"], "validate": ["--trials", "100"]}.get(command, [])
+        assert main([command, *scenario, *extra, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        row = csv_rows(out)[0]
+        if command == "validate":
+            assert (row["alpha"], row["beta"], row["pass"]) == ("0", "0", "true")
+        else:
+            assert (row["alpha"], row["beta"], row["kl_exact"], row["pinsker_lb"]) == (
+                "0", "0", "inf", "-inf"
+            )
+        if command == "analyze":
+            assert row["pinsker_vacuous"] == "true"
 
     def test_overflowing_threshold_maps_to_two_without_a_warning(self, tmp_path, capsys):
         # At l_s = 1e308 the H0 threshold overflows to inf; the error line

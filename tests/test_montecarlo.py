@@ -318,6 +318,50 @@ class TestThreshold:
         assert started == []
 
 
+class TestOneArrayCheck:
+    """A call checks and thresholds all its cells in one array call each."""
+
+    MC = McConfig(trials=3000, seed=7)
+
+    def test_one_check_and_one_threshold_call_per_call(self, monkeypatch):
+        cells = [(1, 0.5), (4, 2.0), (1, 10.0), (2.5, 1e300)]
+        expected = [estimate_one(*cell, self.MC) for cell in cells]
+        calls = []
+        for name in ("_point", "_thresholds"):
+            original = getattr(montecarlo, name)
+            monkeypatch.setattr(
+                montecarlo, name, lambda *args, name=name, original=original: (
+                    calls.append(name) or original(*args)
+                )
+            )
+        assert estimate_cells(cells, self.MC) == expected
+        assert calls == ["_point", "_thresholds"]
+
+    def test_zero_d_array_dwell_is_its_float(self):
+        assert estimate_cells([(np.array(4.0), 1.0)], self.MC) == estimate_cells(
+            [(4.0, 1.0)], self.MC
+        )
+
+    def test_dwells_that_round_to_one_double_share_a_stream(self, monkeypatch):
+        count_events = montecarlo._count_events
+        dwells = []
+
+        def counter(job):
+            dwells.append(job[0])
+            return count_events(job)
+
+        monkeypatch.setattr(montecarlo, "_count_events", counter)
+        cells = [(2**53, 1.0), (2**53 + 1, 1.0)]
+        mc = McConfig(trials=100, seed=1)
+        estimates = estimate_cells(cells, mc)
+        assert dwells == [2.0**53]
+        assert estimates == [estimate_one(2.0**53, 1.0, mc)] * 2
+
+    def test_every_dwell_is_checked_before_any_snr(self):
+        with pytest.raises(ValueError, match="^l_s must be finite and > 0, got 0.0$"):
+            estimate_cells([(4, 0.0), (0, 1.0)], McConfig(trials=1, seed=1))
+
+
 class TestConcurrentStreams:
     CELLS = [(1, 0.5), (4, 2.0), (16, 1.0), (2, 10.0)]
     MC = McConfig(trials=3000, seed=7)
