@@ -8,6 +8,13 @@ normalized coordinates (l_sector, phi_w). Those come from scipy's
 ``gammainc``/``gammaincc`` (DiDonato & Morris, ACM TOMS 12 (1986) 377), and a
 non-finite result raises ConvergenceError.
 
+scipy's values are replaced at four kinds of points: shapes below 1e-3 in
+``_lower_gamma``, blind points with x0 == x1 in ``_false_alarm``, an H1
+threshold that underflows to 0 in ``_miss_detection``, and phi_w below 0.03
+in the divergence, ``_kl_exact``. Each is one call of ``_patched``, which
+evaluates the replacement at the masked elements only and leaves every other
+value as it was.
+
 Every closed form takes floats or numpy arrays: a float input returns a
 Python float, an array input an array, and an invalid element raises the
 error a call on that element alone would raise. ``analyze_scenario``
@@ -96,6 +103,22 @@ def reg_lower_gamma(a: FloatOrArray, x: FloatOrArray) -> FloatOrArray:
     return scalar_or_array(_lower_gamma(a, x))
 
 
+def _patched(value: FloatOrArray, where, fix, *args) -> FloatOrArray:
+    """``value``, with ``fix(*args)`` at the elements where ``where`` holds.
+
+    ``where`` and ``args`` are broadcast to the shape of ``value``, and ``fix``
+    gets only the masked elements of each, as 1-d arrays. Where ``where``
+    holds nowhere, ``value`` comes back as it is; otherwise a patched copy,
+    a numpy scalar for a 0-d ``value``.
+    """
+    if not np.count_nonzero(where):
+        return value
+    value = np.array(value)
+    where = np.broadcast_to(where, value.shape)
+    value[where] = fix(*(np.broadcast_to(arg, value.shape)[where] for arg in args))
+    return value[()]
+
+
 def _lower_gamma(a: FloatOrArray, x: FloatOrArray) -> FloatOrArray:
     """P(a, x) at checked inputs; a non-finite result raises ConvergenceError.
 
@@ -103,10 +126,7 @@ def _lower_gamma(a: FloatOrArray, x: FloatOrArray) -> FloatOrArray:
     and 1 - Q is correctly rounded; ``gammainc`` errs there by up to about
     100 ulps, and returns values above 1 below shape 4e-15.
     """
-    p = gammainc(a, x)
-    if np.count_nonzero(a < 1e-3):
-        p = np.where(a < 1e-3, 1.0 - gammaincc(a, x), p)
-    p = as_floats(p)
+    p = _patched(gammainc(a, x), a < 1e-3, lambda a, x: 1.0 - gammaincc(a, x), a, x)
     require(np.isfinite(p), "gammainc returned {} at a={}, x={}", p, a, x, error=ConvergenceError)
     return p
 
@@ -144,13 +164,9 @@ def _false_alarm(
     # SNR below double resolution: both tests share one threshold and one
     # law, so alpha = 1 - beta exactly and xi = 1 marks the blind detector.
     blind = x0 == x1
-    alpha = as_floats(gammaincc(l_s, x0))
-    if np.count_nonzero(blind):
-        # Checked first: blind points have the smallest SNR, so along a curve
-        # they come before any point gammaincc could fail at.
-        alpha = np.array(alpha)
-        alpha[blind] = 1.0 - _lower_gamma(np.broadcast_to(l_s, x0.shape)[blind], x0[blind])
-        alpha = alpha[()]
+    # Checked first: blind points have the smallest SNR, so along a curve
+    # they come before any point gammaincc could fail at.
+    alpha = _patched(gammaincc(l_s, x0), blind, lambda a, x: 1.0 - _lower_gamma(a, x), l_s, x0)
     require(
         blind | np.isfinite(alpha),
         "gammaincc returned {} at l_s={}, phi_w={}",
@@ -172,15 +188,16 @@ def _miss_detection(
     is x**a / Gamma(1+a) to double precision; that is taken in logs, with
     ln x1 = ln l_s + ln ln(1+phi) - ln phi.
     """
-    beta = _lower_gamma(l_s, x1)
-    under = x1 == 0.0
-    if np.count_nonzero(under):
-        beta = np.array(beta)
-        l_s, log_term, phi_w = (np.broadcast_to(v, x1.shape)[under] for v in (l_s, log_term, phi_w))
-        log_x1 = np.log(l_s) + np.log(log_term) - np.log(phi_w)
-        beta[under] = np.exp(l_s * log_x1 - gammaln(1.0 + l_s))
-        beta = beta[()]
-    return beta
+
+    def power_term(a, log_term, phi_w):
+        log_x1 = np.log(a) + np.log(log_term) - np.log(phi_w)
+        return np.exp(a * log_x1 - gammaln(1.0 + a))
+
+    return _patched(_lower_gamma(l_s, x1), x1 == 0.0, power_term, l_s, log_term, phi_w)
+
+
+# 1/k for k = 2..16, the coefficients of the divergence's small-phi series.
+_KL_SERIES = 1.0 / np.arange(2.0, 17.0)
 
 
 def _kl_exact(
@@ -193,14 +210,10 @@ def _kl_exact(
     -ln(1-u) - u = sum over k >= 2 of u**k / k, to k = 16 by Horner. A
     divergence beyond the float range is inf, without a numpy warning.
     """
-    u = np.asarray(phi_w / (1.0 + phi_w))
-    per_sample = np.asarray(log_term - u)
-    small = phi_w < 0.03
-    if np.count_nonzero(small):
-        u = u[small]
-        per_sample[small] = u * u * polyval(u, 1.0 / np.arange(2.0, 17.0))
+    u = phi_w / (1.0 + phi_w)
+    per_sample = _patched(log_term - u, phi_w < 0.03, lambda u: u * u * polyval(u, _KL_SERIES), u)
     with np.errstate(over="ignore"):
-        return l_s * per_sample[()]
+        return l_s * per_sample
 
 
 def false_alarm(l_s: FloatOrArray, phi_w: FloatOrArray) -> FloatOrArray:

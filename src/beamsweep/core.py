@@ -62,9 +62,22 @@ def as_floats(x) -> FloatOrArray:
     """``x`` as float64: a numpy scalar for a 0-d input, an array for any other.
 
     Arithmetic on a numpy scalar costs a fraction of the same on a 0-d array,
-    and that overhead is most of the cost of evaluating one point.
+    and that overhead is most of the cost of evaluating one point. An integer
+    beyond the float range becomes inf of its sign, as a float literal that
+    large would, so the caller's own finiteness check names it.
     """
-    return np.asarray(x, dtype=float)[()]
+    try:
+        return np.asarray(x, dtype=float)[()]
+    except OverflowError:
+        return np.vectorize(_float_or_inf, otypes=[float])(np.asarray(x, dtype=object))[()]
+
+
+def _float_or_inf(x) -> float:
+    """``float(x)``, or inf of its sign for an integer beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def scalar_or_array(value: np.ndarray) -> FloatOrArray:

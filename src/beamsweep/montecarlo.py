@@ -62,6 +62,7 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
 from .analysis import _point, _thresholds
+from .core import as_floats
 
 _CI_Z = 1.96  # 95% Wilson score interval
 # Trials per chunk, and so per substream: 128 KB of statistics, for any l_s.
@@ -165,7 +166,7 @@ def estimate_cells(cells: Sequence[tuple[float, float]], mc: McConfig) -> list[M
     helper thread outlives the call, an interrupt included. A worker holds
     one chunk at a time, so memory grows with the workers, not the trials.
     """
-    l_s, phi_w = _point(*np.array(cells, dtype=float).reshape(len(cells), 2).T)
+    l_s, phi_w = _point(*as_floats(cells).reshape(len(cells), 2).T)
     _, x0, x1 = _thresholds(l_s, phi_w)
     # The (cell, x0, x1) of every cell of each distinct checked dwell.
     dwells: dict[float, list[tuple[int, float, float]]] = {}

@@ -42,3 +42,22 @@ def reg_upper_gamma_reference(a, x, dps: int = 50):
     """
     with mp.workdps(dps):
         return mp.gammainc(mpf(a), mpf(x), mp.inf, regularized=True)
+
+
+def closed_forms_reference(l_s, phi_w, dps: int = 40):
+    """(alpha, beta, kl) at the double inputs (l_s, phi_w) by mpmath's own gamma functions.
+
+    The thresholds l_s ln(1+phi)(1+1/phi) and l_s ln(1+phi)/phi are formed
+    at ``dps`` digits from the doubles, and alpha = Q and beta = P each come
+    from mpmath's regularized ``gammainc`` directly, so both tails keep
+    their digits. Unlike the series above, which takes about x terms, it
+    stays fast near x = a at a = 1e6. Returns three mpf.
+    """
+    with mp.workdps(dps):
+        l_s = mpf(l_s)
+        phi = mpf(phi_w)
+        log_term = mp.log1p(phi)
+        x1 = l_s * log_term / phi
+        alpha = mp.gammainc(l_s, x1 + l_s * log_term, mp.inf, regularized=True)
+        beta = mp.gammainc(l_s, 0, x1, regularized=True)
+        return alpha, beta, l_s * (log_term - phi / (1 + phi))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from mpmath import mp
+from scipy.special import gammaincc
 
 from beamsweep import analysis, core
 from beamsweep.analysis import (
@@ -14,12 +15,17 @@ from beamsweep.analysis import (
     kl_divergence_exact,
     miss_detection,
     pinsker_lower_bound,
+    reg_lower_gamma,
     total_error,
 )
 from beamsweep.core import ScenarioConfig, make_sweep_plan, path_loss
 from beamsweep.presets import fig3_config
 
-from oracles import reg_lower_gamma_reference, reg_upper_gamma_reference
+from oracles import (
+    closed_forms_reference,
+    reg_lower_gamma_reference,
+    reg_upper_gamma_reference,
+)
 
 # Frozen from the extended-precision series reference (tests/oracles.py):
 # alpha(8, 0.5) = 1 - P(8, 8 ln(1.5) * 3), beta(8, 0.5) = P(8, 16 ln(1.5)).
@@ -436,3 +442,129 @@ class TestArrayInputs:
         with pytest.raises(ValueError) as info:
             func(*(np.asarray(a) for a in args))
         assert str(info.value) == message
+
+
+class TestSpecialCases:
+    """Each special case of the closed forms is one masked correction of scipy's values.
+
+    One array holds a point of each case beside ordinary points: a shape
+    below 1e-3, a blind point (x0 == x1), an underflowing H1 threshold and
+    two divergences below phi_w = 0.03.
+    """
+
+    L_S = np.array([1e-4, 4.0, 5e-324, 8.0, 1.0, 160.0, 1e-100, 2.5])
+    PHI = np.array([3.0, 1e-17, 1e308, 1e-2, 1.0, 10.0, 1e300, 0.3])
+
+    def test_the_array_holds_each_case(self):
+        _, x0, x1 = analysis._thresholds(self.L_S, self.PHI)
+        assert np.count_nonzero(self.L_S < 1e-3) == 3
+        assert (x0 == x1).tolist() == [False, True] + [False] * 6
+        assert (x1 == 0.0).tolist() == [False, False, True] + [False] * 3 + [True, False]
+        assert np.count_nonzero(self.PHI < 0.03) == 2
+
+    @pytest.mark.parametrize(
+        "func",
+        [reg_lower_gamma, false_alarm, miss_detection, kl_divergence_exact],
+        ids=lambda f: f.__name__,
+    )
+    def test_array_equals_the_scalar_closed_forms(self, func):
+        values = func(self.L_S, self.PHI)
+        assert values.shape == self.L_S.shape
+        for l_s, phi, value in zip(self.L_S.tolist(), self.PHI.tolist(), values.tolist()):
+            assert func(l_s, phi) == value
+
+    def test_upper_gamma_runs_only_at_the_small_shapes(self, monkeypatch):
+        shapes = np.array([1e-4, 1.0, 5e-4, 16.0, 1e-300])
+        expected = reg_lower_gamma(shapes, 2.0)
+        seen = []
+
+        def recording(a, x):
+            seen.append(np.asarray(a).tolist())
+            return gammaincc(a, x)
+
+        monkeypatch.setattr(analysis, "gammaincc", recording)
+        assert reg_lower_gamma(shapes, 2.0).tolist() == expected.tolist()
+        assert seen == [[1e-4, 5e-4, 1e-300]]
+        seen.clear()
+        reg_lower_gamma(shapes[[1, 3]], 2.0)
+        assert seen == []
+
+    def test_patched_returns_the_value_where_nothing_is_masked(self):
+        value = np.array([1.0, 2.0])
+        assert analysis._patched(value, value < 0.0, None) is value
+        patched = analysis._patched(value, value > 1.5, lambda v: -v, value)
+        assert patched.tolist() == [1.0, -2.0] and value.tolist() == [1.0, 2.0]
+        scalar = analysis._patched(np.float64(3.0), np.True_, lambda v: v + 1.0, 3.0)
+        assert type(scalar) is np.float64 and scalar == 4.0
+
+
+class TestIntegersBeyondTheFloatRange:
+    """An integer beyond the float range is inf of its sign, which each check names."""
+
+    @pytest.mark.parametrize(
+        "func, args, message",
+        [
+            (reg_lower_gamma, (10**400, 1.0), "reg_lower_gamma requires finite a > 0, got a=inf"),
+            (false_alarm, (-(10**400), 1.0), "l_s must be finite and > 0, got -inf"),
+            (kl_divergence_exact, (2.0, 10**400), "phi_w must be finite and >= 0, got inf"),
+            (miss_detection, ([1, 2, 10**400], 1.0), "l_s must be finite and > 0, got inf"),
+        ],
+        ids=["reg_lower_gamma", "false_alarm", "kl_divergence_exact", "miss_detection-list"],
+    )
+    def test_check_names_inf(self, func, args, message):
+        with pytest.raises(ValueError) as info:
+            func(*args)
+        assert str(info.value) == message
+
+
+class TestAccuracyGate:
+    """alpha, beta, xi and kl_exact against mpmath over the (l_s, phi_w) plane.
+
+    l_s = 10**k for k from -4 to 6 and phi_w = 10**j for j from -12 to 12,
+    in relative terms under the suite's 1e-10 bound, on reference values of
+    at least 1e-280. The reference (``oracles.closed_forms_reference``) takes
+    mpmath's own regularized ``gammainc`` at 40 digits. The points outside
+    the bound follow scipy's version; CI pins the one they were recorded
+    under. Shapes above 1e6 need a reference that mpmath's ``gammainc``
+    cannot give there.
+    """
+
+    BOUND = 1e-10
+    # scipy's gammainc leaves its uniform asymptotic series at a = 1e6,
+    # about 5 standard deviations below the mean.
+    OUTSIDE = {("beta", 1e6, 1e-2), ("xi", 1e6, 1e-2)}
+
+    @pytest.fixture(scope="class")
+    def relative_errors(self):
+        """{(quantity, l_s, phi_w): relative error} for each reference >= 1e-280."""
+        errors = {}
+        for l_s in (10.0**k for k in range(-4, 7)):
+            for phi in (10.0**j for j in range(-12, 13)):
+                alpha, beta, kl = closed_forms_reference(l_s, phi)
+                a, b = false_alarm(l_s, phi), miss_detection(l_s, phi)
+                pairs = {
+                    "alpha": (a, alpha),
+                    "beta": (b, beta),
+                    "xi": (a + b, alpha + beta),
+                    "kl": (kl_divergence_exact(l_s, phi), kl),
+                }
+                with mp.workdps(40):
+                    for name, (value, reference) in pairs.items():
+                        if reference >= mp.mpf("1e-280"):
+                            relative = abs(mp.mpf(value) - reference) / reference
+                            errors[name, l_s, phi] = float(relative)
+        return errors
+
+    def test_within_the_bound_but_at_the_pinned_points(self, relative_errors):
+        # 1,100 comparisons, of which 177 have references below 1e-280.
+        assert len(relative_errors) == 923
+        outside = {
+            point: error
+            for point, error in relative_errors.items()
+            if error > self.BOUND and point not in self.OUTSIDE
+        }
+        assert outside == {}
+
+    def test_points_outside_the_bound_are_the_pinned_ones(self, relative_errors):
+        outside = {point for point, error in relative_errors.items() if error > self.BOUND}
+        assert outside == self.OUTSIDE

@@ -549,8 +549,12 @@ class TestValidateConcurrency:
 
     def run_with_cpus(self, monkeypatch, probe, tmp_path, cpus, argv):
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+        return self.run_validate(probe, tmp_path / f"cpus{cpus}.csv", argv)
+
+    @staticmethod
+    def run_validate(probe, out, argv):
+        """(exit code, bytes written, most chunks counted at once) of one validate run."""
         probe["most"] = 0
-        out = tmp_path / f"cpus{cpus}.csv"
         threads = threading.active_count()
         code = main(["validate", *argv, "--out", str(out)])
         assert threading.active_count() == threads
@@ -564,6 +568,47 @@ class TestValidateConcurrency:
         assert one[:2] == three[:2]
         assert one[0] == 0
         assert one[2] == 1 and 1 <= three[2] <= 3
+
+    # The default grid; fig3 rows at real dwells (m = 31, the optimum) and
+    # below one symbol (m = 33, 67); fig3 rows given unsorted with a repeat;
+    # and two long-dwell cells whose 20000 trials are two uneven chunks
+    # (2**14 trials, then 3616). Each exits 0.
+    COMMAND_LINES = {
+        "default-grid": [],
+        "fig3-m=31,33,67": ["--config", FIG3_CFG, "--set", "m=31,33,67"],
+        "fig3-m=67,31,1,31": ["--config", FIG3_CFG, "--set", "m=67,31,1,31"],
+        "l_s=160": ["--set", "l_s=160", "--set", "phi_w=0.3,10", "--trials", "20000"],
+    }
+
+    @pytest.mark.parametrize("case", [c for c in COMMAND_LINES if c != "default-grid"])
+    def test_bytes_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch, probe, case):
+        argv = self.COMMAND_LINES[case]
+        one = self.run_with_cpus(monkeypatch, probe, tmp_path, 1, argv)
+        three = self.run_with_cpus(monkeypatch, probe, tmp_path, 3, argv)
+        assert one[:2] == three[:2]
+        assert one[0] == 0
+        assert one[2] == 1 and 1 <= three[2] <= 3
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="the OS sets no CPU affinity"
+    )
+    @pytest.mark.parametrize("case", list(COMMAND_LINES))
+    def test_bytes_do_not_depend_on_the_affinity(self, tmp_path, probe, case):
+        # The process runs on one CPU, as under `taskset -c 0`, and then on
+        # every CPU it was given; helper threads inherit the calling thread's
+        # affinity.
+        argv = self.COMMAND_LINES[case]
+        cpus = os.sched_getaffinity(0)
+        try:
+            os.sched_setaffinity(0, {min(cpus)})
+            assert montecarlo._usable_cpus() == 1
+            one = self.run_validate(probe, tmp_path / "one_cpu.csv", argv)
+        finally:
+            os.sched_setaffinity(0, cpus)
+        every = self.run_validate(probe, tmp_path / "every_cpu.csv", argv)
+        assert one[:2] == every[:2]
+        assert one[0] == 0
+        assert one[2] == 1 and 1 <= every[2] <= len(cpus)
 
     def test_retried_cell_bytes_do_not_depend_on_the_cpus(self, tmp_path, monkeypatch, probe):
         # As in test_unconfirmable_cell_exits_three: both rounds fail.

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from beamsweep import analysis, montecarlo
 from beamsweep.core import (
     ScenarioConfig,
+    as_floats,
     dbm_to_watt,
     make_sweep_plan,
     path_loss,
@@ -54,6 +56,20 @@ class TestConversions:
             dbm_to_watt(1e308)
         assert str(info.value) == "1e+308 dBm overflows a float in watts"
         assert dbm_to_watt(-1e308) == 0.0
+
+
+class TestAsFloats:
+    def test_integers_beyond_the_float_range_are_inf_of_their_sign(self):
+        assert type(as_floats(10**400)) is np.float64 and as_floats(10**400) == math.inf
+        assert as_floats(-(10**400)) == -math.inf
+        cells = [(10**400, 1.0), (-(10**400), 2**53 + 1)]
+        assert as_floats(cells).tolist() == [[math.inf, 1.0], [-math.inf, 2.0**53]]
+
+    def test_integers_round_to_the_nearest_float_first(self):
+        # 2**1024 - 2**970 lies halfway between the largest double and
+        # 2**1024, and rounds to even, beyond the range; one less rounds down.
+        halfway = 2**1024 - 2**970
+        assert as_floats([halfway - 1, halfway]).tolist() == [sys.float_info.max, math.inf]
 
 
 class TestScenarioConfig:

@@ -361,6 +361,14 @@ class TestOneArrayCheck:
         with pytest.raises(ValueError, match="^l_s must be finite and > 0, got 0.0$"):
             estimate_cells([(4, 0.0), (0, 1.0)], McConfig(trials=1, seed=1))
 
+    def test_integer_beyond_the_float_range_is_named_before_any_stream(self, monkeypatch):
+        jobs = []
+        monkeypatch.setattr(montecarlo, "_count_events", jobs.append)
+        with pytest.raises(ValueError) as info:
+            estimate_cells([(10**400, 1.0)], McConfig(100, 1))
+        assert str(info.value) == "l_s must be finite and > 0, got inf"
+        assert jobs == []
+
 
 class TestConcurrentStreams:
     CELLS = [(1, 0.5), (4, 2.0), (16, 1.0), (2, 10.0)]
