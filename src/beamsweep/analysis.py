@@ -23,9 +23,9 @@ its sector counts; either way the result is one ``DetectionAnalysis``. It
 checks its inputs once, at the entry, computes ln(1+phi_w) and the two test
 thresholds once, and hands them to the private kernels that the public
 closed forms also run after their own checks, so a field of the analysis
-equals the public closed form at that point bit for bit. ``_point`` and
-``_thresholds`` are the one check of a point and the one copy of its two
-thresholds; the Monte Carlo validator takes each cell's from them too.
+equals the public closed form at that point bit for bit. ``_cell`` is the
+one check of a point and the one call of ``_thresholds``, the one copy of its
+two thresholds; the Monte Carlo validator takes each cell's from it too.
 """
 
 from __future__ import annotations
@@ -131,13 +131,17 @@ def _lower_gamma(a: FloatOrArray, x: FloatOrArray) -> FloatOrArray:
     return p
 
 
-def _point(l_s: FloatOrArray, phi_w: FloatOrArray) -> tuple[FloatOrArray, FloatOrArray]:
-    """``l_s`` and ``phi_w`` as floats, checked finite and > 0."""
+def _cell(l_s: FloatOrArray, phi_w: FloatOrArray) -> tuple[FloatOrArray, ...]:
+    """The checked cell and its thresholds: (l_s, phi_w, ln(1+phi_w), x0, x1).
+
+    ``l_s`` and ``phi_w`` come back as floats, checked finite and > 0, in that
+    order, and the rest is ``_thresholds`` of them.
+    """
     l_s = as_floats(l_s)
     phi_w = as_floats(phi_w)
     require(finite_positive(l_s), "l_s must be finite and > 0, got {}", l_s)
     require(finite_positive(phi_w), "phi_w must be finite and > 0, got {}", phi_w)
-    return l_s, phi_w
+    return (l_s, phi_w, *_thresholds(l_s, phi_w))
 
 
 def _thresholds(
@@ -223,8 +227,7 @@ def false_alarm(l_s: FloatOrArray, phi_w: FloatOrArray) -> FloatOrArray:
     gamma function, evaluated directly so tiny values keep their relative
     accuracy instead of cancelling in 1 - P.
     """
-    l_s, phi_w = _point(l_s, phi_w)
-    _, x0, x1 = _thresholds(l_s, phi_w)
+    l_s, phi_w, _, x0, x1 = _cell(l_s, phi_w)
     return scalar_or_array(_false_alarm(l_s, phi_w, x0, x1))
 
 
@@ -234,8 +237,7 @@ def miss_detection(l_s: FloatOrArray, phi_w: FloatOrArray) -> FloatOrArray:
     Equals P(l_s, l_s ln(1+phi)/phi), a lower tail, so tiny values keep
     their relative accuracy.
     """
-    l_s, phi_w = _point(l_s, phi_w)
-    log_term, _, x1 = _thresholds(l_s, phi_w)
+    l_s, phi_w, log_term, _, x1 = _cell(l_s, phi_w)
     return scalar_or_array(_miss_detection(l_s, phi_w, log_term, x1))
 
 
@@ -276,14 +278,10 @@ def kl_divergence_approx(cfg: ScenarioConfig, m: int | np.ndarray) -> FloatOrArr
     require(m >= 1, "sector count m must be >= 1, got {}", m)
     if not (math.isfinite(rho_aw) and rho_aw > 0.0):
         raise ValueError(f"rho_aw must be finite and > 0, got {rho_aw}")
-    return scalar_or_array(_kl_approx(cfg, as_floats(m), rho_aw))
-
-
-def _kl_approx(cfg: ScenarioConfig, m: FloatOrArray, rho_aw: float) -> FloatOrArray:
-    """The small-SNR divergence at checked sector counts ``m``, as floats."""
+    m = as_floats(m)
     signal = cfg.pa_watt * rho_aw
     noise_width = cfg.noise_watt * cfg.theta_t
-    return (
+    return scalar_or_array(
         4.0 * cfg.l_total * signal * signal * m
         / (noise_width * noise_width + 2.0 * signal * noise_width * m)
     )
@@ -320,12 +318,13 @@ def analyze_scenario(
     # the checks reject them where they matter.
     with np.errstate(all="ignore"):
         l_sector, phi_w = make_sweep_plan(cfg, m)
-        l_s, phi = _point(l_sector, phi_w)
-        log_term, x0, x1 = _thresholds(l_s, phi)
+        l_s, phi, log_term, x0, x1 = _cell(l_sector, phi_w)
         alpha = _false_alarm(l_s, phi, x0, x1)
         beta = _miss_detection(l_s, phi, log_term, x1)
         kl = _kl_exact(l_s, phi, log_term)
-        kl_approx = _kl_approx(cfg, as_floats(m), path_loss(cfg))
+        # Its checks cannot fire: make_sweep_plan has checked m and the path
+        # loss, and one that underflows to 0 failed _cell's phi_w check.
+        kl_approx = kl_divergence_approx(cfg, m)
         pinsker_lb = 1.0 - np.sqrt(kl / 2.0)  # -inf where kl overflows
         return DetectionAnalysis(
             scalar_or_array(m), l_sector, phi_w,

@@ -118,15 +118,15 @@ def _write_atomic(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
     # is made, to a temp file under a unique name in its target's directory,
     # and none is renamed before the last is staged. The outputs and their
     # pieces may come from generators, so one piece is held at a time.
-    # Unique names keep concurrent runs apart and the renames atomic. os.open
+    # Unique names keep concurrent runs apart and the renames atomic; they do
+    # not embed the target's name, so they fit wherever it fits. os.open
     # applies the process umask to 0o666, which gives the files the
     # permissions open() would, without reading the umask.
     staged: list[tuple[str, str]] = []  # (temp file, target), not yet renamed
     tmp = path = ""
     try:
         for path, pieces in outputs:
-            directory, name = os.path.split(path)
-            tmp = os.path.join(directory, f"{name}.{os.urandom(8).hex()}.tmp")
+            tmp = os.path.join(os.path.dirname(path), f".beamsweep-{os.urandom(8).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))
             with open(fd, "w", encoding="utf-8", newline="\n") as handle:

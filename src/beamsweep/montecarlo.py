@@ -16,7 +16,7 @@ lies at or below the H0 threshold x0 exactly when its Gamma(l_sector) draw
 lies at or below x0 / (1 + phi_w), the H1 threshold x1. So a false alarm is
 a draw above x0 and a miss a draw at or below x1: the events whose
 probabilities Q(l_sector, x0) and P(l_sector, x1) the closed forms give, with
-x0 and x1 from ``analysis._thresholds``.
+x0 and x1 from ``analysis._cell``.
 
 Determinism contract: the seed keys one stream per dwell, shared by both
 hypotheses, cut into substreams of ``_CHUNK_TRIALS`` trials. Chunk c covers
@@ -53,6 +53,7 @@ number of CPUs and any thread schedule.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import threading
 from collections.abc import Sequence
@@ -61,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
-from .analysis import _point, _thresholds
+from .analysis import _cell
 from .core import as_floats
 
 _CI_Z = 1.96  # 95% Wilson score interval
@@ -79,6 +80,13 @@ class McConfig:
     seed: int
 
     def __post_init__(self) -> None:
+        # Any integer, numpy's included, is stored as a Python int.
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value}") from None
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= self.seed < 2 ** 64:
@@ -151,11 +159,11 @@ def _count_events(
 def estimate_cells(cells: Sequence[tuple[float, float]], mc: McConfig) -> list[McEstimate]:
     """Both error probabilities of each (l_s, phi_w) cell by direct simulation, in order.
 
-    The cells' check and thresholds are the closed forms' (``_point`` and
-    ``_thresholds``), in one array call each, so any finite l_s > 0 is
-    simulated at its real shape. Every cell runs ``mc.trials`` trials from
-    ``mc.seed``, and every cell is checked, on the calling thread, before any
-    job starts: every l_s before any phi_w, as in the closed forms. Each
+    The cells' check and thresholds are the closed forms' (``_cell``), in
+    one array call, so any finite l_s > 0 is simulated at its real shape.
+    Every cell runs ``mc.trials`` trials from ``mc.seed``, and every cell is
+    checked, on the calling thread, before any job starts: every l_s before
+    any phi_w, as in the closed forms. Each
     distinct checked l_s, a float, is one stream, and each of its chunks one
     job; the jobs are ordered by the dwell's first cell, then by chunk, and a
     job's index maps to its (dwell, chunk) by division, so no job list is
@@ -166,8 +174,7 @@ def estimate_cells(cells: Sequence[tuple[float, float]], mc: McConfig) -> list[M
     helper thread outlives the call, an interrupt included. A worker holds
     one chunk at a time, so memory grows with the workers, not the trials.
     """
-    l_s, phi_w = _point(*as_floats(cells).reshape(len(cells), 2).T)
-    _, x0, x1 = _thresholds(l_s, phi_w)
+    l_s, _, _, x0, x1 = _cell(*as_floats(cells).reshape(len(cells), 2).T)
     # The (cell, x0, x1) of every cell of each distinct checked dwell.
     dwells: dict[float, list[tuple[int, float, float]]] = {}
     for index, (dwell, *thresholds) in enumerate(zip(l_s.tolist(), x0.tolist(), x1.tolist())):

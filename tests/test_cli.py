@@ -521,6 +521,36 @@ class TestValidateCommand:
         assert code == 1
 
 
+class TestHugeDwellResolution:
+    """validate's known blind spot: at huge dwells its draws are too coarse.
+
+    numpy's ``standard_gamma`` (Marsaglia & Tsang) forms 1 + c*x in doubles,
+    with c = 1/(3 sqrt(l_s - 1/3)). At large shapes its draws therefore lie
+    on a lattice about 6.7e-16 sqrt(l_s) standard deviations apart, with a
+    point mass at the mean, l_s. At phi_w = 1e-300 both cells are blind
+    (x0 = x1 = l_s), where alpha = beta = 0.5 is right and that mass counts
+    as a miss: the cell at l_s = 1e26 passes and the one at 1e28 fails after
+    its retry. A fix of the sampler turns the second verdict; a regression that
+    coarsens smaller shapes turns the first.
+    """
+
+    VERDICTS = ["true", "false"]
+
+    @pytest.mark.parametrize("seed", [7, 42, 1234])
+    def test_verdicts_at_two_blind_cells_are_the_pinned_ones(self, tmp_path, seed):
+        out = tmp_path / "val.csv"
+        argv = ["validate", "--set", "l_s=1e26,1e28", "--set", "phi_w=1e-300"]
+        code = main([*argv, "--seed", str(seed), "--out", str(out)])
+        rows = csv_rows(out)
+        assert [row["retried"] for row in rows] == ["false", "true"]
+        assert (code, [row["pass"] for row in rows]) == (3, self.VERDICTS)
+
+    def test_draws_take_fewer_values_as_the_shape_grows(self):
+        # The 16,384 draws of chunk 0 at seed 42.
+        draws = [montecarlo._chunk_draws(l_s, 42, 0) for l_s in (1e26, 1e28, 1e30)]
+        assert [np.unique(chunk).size for chunk in draws] == [1224, 159, 18]
+
+
 class TestValidateConcurrency:
     """validate runs its Monte Carlo chunks concurrently, with bytes that do not depend on it."""
 
@@ -750,6 +780,18 @@ class TestReproCommand:
         assert main(["repro", preset, "--out", str(out_dir), "--set", override]) == 0
         assert len(os.listdir(out_dir)) == 2
 
+
+    def test_a_sweep_value_with_a_name_near_the_limit_is_written(self, tmp_path, capsys):
+        # fig3_l_total_<236 digits>.csv is 253 bytes, a name the file system takes.
+        l_total = "1" * 236
+        out_dir, curve = tmp_path / "fig3", tmp_path / "curve.csv"
+        assert main(["repro", "fig3", "--out", str(out_dir), "--set", f"l_total={l_total}"]) == 0
+        path = out_dir / f"fig3_l_total_{l_total}.csv"
+        assert capsys.readouterr().out == f"{path}\n"
+        argv = ["sweep-m", "--config", FIG3_CFG, "--set", f"l_total={l_total}"]
+        assert main([*argv, "--out", str(curve)]) == 0
+        assert path.read_bytes() == curve.read_bytes()
+        assert os.listdir(out_dir) == [path.name]
 
     def test_invalid_sweep_value_writes_nothing(self, tmp_path, capsys):
         # The first curve is valid, the second scenario is not: no file, and
@@ -1227,6 +1269,14 @@ class TestWriteAtomic:
         umask = os.umask(0)
         os.umask(umask)
         assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+
+    def test_a_name_near_the_file_system_limit_is_written(self, tmp_path):
+        # A 250-byte name: the staged name must fit wherever the target's does.
+        long, short = tmp_path / ("a" * 246 + ".csv"), tmp_path / "short.csv"
+        for out in (long, short):
+            assert main(["sweep-m", "--config", FIG3_CFG, "--out", str(out)]) == 0
+        assert long.read_bytes() == short.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([long.name, short.name])
 
     def test_target_in_current_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

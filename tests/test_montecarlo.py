@@ -71,6 +71,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="seed must be a 64-bit"):
             McConfig(trials=10, seed=2 ** 64)
 
+    @pytest.mark.parametrize("field", ["trials", "seed"])
+    def test_rejects_a_field_that_is_not_an_integer(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got 1.5$"):
+            McConfig(**{"trials": 10, "seed": 1, field: 1.5})
+
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        mc = McConfig(trials=np.int64(100), seed=np.uint64(7))
+        assert (type(mc.trials), type(mc.seed)) == (int, int)
+        assert mc == McConfig(trials=100, seed=7)
+        (est,) = estimate_cells([(4, 1.0)], mc)
+        assert [type(value) for value in dataclasses.astuple(est)] == [float] * 4
+
     def test_estimate_rejects_nonpositive_snr(self):
         mc = McConfig(trials=10, seed=1)
         with pytest.raises(ValueError):
@@ -327,15 +339,15 @@ class TestOneArrayCheck:
         cells = [(1, 0.5), (4, 2.0), (1, 10.0), (2.5, 1e300)]
         expected = [estimate_one(*cell, self.MC) for cell in cells]
         calls = []
-        for name in ("_point", "_thresholds"):
-            original = getattr(montecarlo, name)
+        for module, name in ((montecarlo, "_cell"), (analysis, "_thresholds")):
+            original = getattr(module, name)
             monkeypatch.setattr(
-                montecarlo, name, lambda *args, name=name, original=original: (
+                module, name, lambda *args, name=name, original=original: (
                     calls.append(name) or original(*args)
                 )
             )
         assert estimate_cells(cells, self.MC) == expected
-        assert calls == ["_point", "_thresholds"]
+        assert calls == ["_cell", "_thresholds"]
 
     def test_zero_d_array_dwell_is_its_float(self):
         assert estimate_cells([(np.array(4.0), 1.0)], self.MC) == estimate_cells(

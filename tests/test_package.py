@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import inspect
+import re
+from pathlib import Path
 
 import beamsweep
 
@@ -27,6 +30,12 @@ def test_public_names_resolve_and_removed_names_are_gone():
         assert not hasattr(beamsweep.core, name)
         assert not hasattr(beamsweep.montecarlo, name)
     assert not hasattr(beamsweep.core, "_checked_threshold_factors")
+    # A point's check and thresholds are one call, analysis._cell, and the
+    # small-SNR divergence has no private twin of kl_divergence_approx.
+    assert not hasattr(beamsweep.analysis, "_point")
+    assert not hasattr(beamsweep.analysis, "_kl_approx")
+    assert not hasattr(beamsweep.montecarlo, "_point")
+    assert not hasattr(beamsweep.montecarlo, "_thresholds")
     # One stream per dwell, cut into chunk substreams: no per-hypothesis draw.
     assert not hasattr(beamsweep.montecarlo, "_simulate_batch")
     parameters = inspect.signature(beamsweep.kl_divergence_approx).parameters
@@ -46,3 +55,23 @@ def test_fields_only_tests_read_are_gone():
     assert fields(beamsweep.McEstimate) == {
         "alpha_hat", "beta_hat", "ci_halfwidth_alpha", "ci_halfwidth_beta"
     }
+
+
+def test_every_ci_selection_term_names_a_test():
+    # A -k term that names no test would leave an "or" selection green while
+    # it quietly runs fewer tests.
+    root = Path(__file__).resolve().parent.parent
+    workflow = (root / ".github" / "workflows" / "tests.yml").read_text()
+    selections = re.findall(r'pytest .*?(tests/\S+\.py) .*?-k "([^"]+)"', workflow)
+    assert selections
+    for path, expression in selections:
+        tree = ast.parse((root / path).read_text())
+        names = [
+            node.name.lower()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and node.name.lower().startswith("test")
+        ]
+        for term in re.split(r"\s+(?:or|and)\s+|\bnot\s+|[()]", expression):
+            if term.strip():
+                assert any(term.strip().lower() in name for name in names), (path, term)
