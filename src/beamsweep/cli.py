@@ -14,15 +14,16 @@ unchanged, so ``main`` may be called repeatedly in one process and each call
 behaves as in a fresh one. The config-file format (reading, canonical
 dump, value formatting) lives in ``presets``. Each CSV column of a curve or
 an ``analyze`` row is the ``DetectionAnalysis`` field of the same name. A
-curve's rows are made by ``csvrows`` in blocks, the bytes of '%d' for ``m``
-and '%.17g' for the floats, and each block goes to the output file before
-the next is made; the one ``analyze`` row, like every ``validate`` row, is
-``format_value`` of each cell, which writes the same bytes. Each
-``validate`` row is the closed forms at its cell: the cells come from the
-grid, the product of the ``l_s`` and ``phi_w`` lists, or from
-``make_sweep_plan`` over the ``--config`` sector counts, the first step of
-``analyze_scenario``, so such a row is the curve row of its ``m``; one
-``false_alarm`` and one ``miss_detection`` call evaluate every cell.
+curve's rows are made by ``csvrows`` in blocks, the bytes of '%.17g' for
+every cell, ``m`` too, whose whole doubles it writes as '%d' would, and
+each block goes to the output file before the next is made; the one
+``analyze`` row, like every ``validate`` row, is ``format_value`` of each
+cell, which writes the same bytes. Each ``validate`` row is the closed
+forms at its cell: the cells come from the grid, the product of the ``l_s``
+and ``phi_w`` lists, or from ``make_sweep_plan`` over the ``--config``
+sector counts, the first step of ``analyze_scenario``, so such a row is the
+curve row of its ``m``; one ``false_alarm`` and one ``miss_detection`` call
+evaluate every cell.
 Exit codes: 0 success, 1 validation, parse or out-of-memory failure, 2
 numerical convergence failure, 3 Monte Carlo validation failure.
 """
@@ -30,6 +31,7 @@ numerical convergence failure, 3 Monte Carlo validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import functools
 import os
@@ -126,6 +128,10 @@ def _write_atomic(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
     tmp = path = ""
     try:
         for path, pieces in outputs:
+            # A name the file system cannot hold fails here, before its
+            # pieces are made, not at the rename; only a missing target is fine.
+            with contextlib.suppress(FileNotFoundError):
+                os.lstat(path)
             tmp = os.path.join(os.path.dirname(path), f".beamsweep-{os.urandom(8).hex()}.tmp")
             fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             staged.append((tmp, path))

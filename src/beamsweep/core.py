@@ -11,12 +11,18 @@ Sector counts and SNRs may be scalars or numpy arrays, so a whole error
 curve is one array evaluation: a scalar input gives Python numbers back, an
 array input arrays of its shape, which the curve's ``DetectionAnalysis``
 keeps as its columns.
+
+``run_jobs`` is the package's one runner of independent jobs over threads,
+on which ``validate``'s Monte Carlo runs its chunks.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
+from typing import TypeVar
 
 import numpy as np
 
@@ -24,6 +30,8 @@ SPEED_OF_LIGHT = 3.0e8  # m/s
 
 # A scalar, or a numpy array evaluated element by element.
 FloatOrArray = float | np.ndarray
+# A ``run_jobs`` worker's own state.
+State = TypeVar("State")
 
 
 def require(ok, message: str, *values, error: type[Exception] = ValueError) -> None:
@@ -115,6 +123,52 @@ def elementwise_log1p(x: FloatOrArray) -> FloatOrArray:
     """
     flat = x.ravel().tolist()
     return np.fromiter(map(math.log1p, flat), float, count=len(flat)).reshape(x.shape)[()]
+
+
+def run_jobs(n_jobs: int, work: Callable[[State, int], object], states: Sequence[State]) -> None:
+    """Run ``work(state, job)`` for every job in ``range(n_jobs)``, one worker per state.
+
+    The calling thread is the worker of ``states[0]``, beside one helper
+    thread for each further state; with no states, no job runs. Each worker
+    claims the next job in index order and passes its own state, so a
+    worker's state needs no lock. The first job to fail, in job order,
+    raises here as it would from a loop over the jobs, and no job starts
+    after a failure. No helper thread outlives the call: each one started
+    is joined before the call returns or raises, after an error, an
+    interrupt on any thread or a helper that failed to start.
+    """
+    claim = threading.Lock()
+    pending = iter(range(n_jobs))
+    stop = threading.Event()
+    failures: list[tuple[int, BaseException]] = []  # (job, its error)
+
+    def next_job() -> int | None:
+        with claim:
+            return None if stop.is_set() else next(pending, None)
+
+    def worker(state: State) -> None:
+        for job in iter(next_job, None):
+            try:
+                work(state, job)
+            except BaseException as exc:  # on a helper thread it would be lost
+                failures.append((job, exc))
+                stop.set()
+
+    helpers: list[threading.Thread] = []
+    try:
+        for state in states[1:]:
+            helper = threading.Thread(target=worker, args=(state,))
+            helper.start()
+            helpers.append(helper)
+        if states:
+            worker(states[0])
+    finally:
+        stop.set()
+        for helper in helpers:
+            helper.join()
+    if failures:
+        # Every job ahead of the first failure in job order has run.
+        raise min(failures, key=lambda failure: failure[0])[1]
 
 
 def dbm_to_watt(p_dbm: float) -> float:

@@ -42,12 +42,13 @@ index alone: SeedSequence hashes each spawn key into its own SFC64 state,
 numpy's documented way to seed parallel streams. Substreams that share no
 state (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC
 2011) make every (dwell, chunk) of a call a job of its own, and any thread
-can run any job. ``estimate_cells`` runs them on the calling thread plus
-helper threads started for the call, one worker per usable CPU and no more
-workers than jobs: numpy draws and compares without holding the GIL. Each
-worker claims the next job from a shared counter and adds its event counts
-to its own integer totals, so integer sums make the bytes the same for any
-number of CPUs and any thread schedule.
+can run any job. ``estimate_cells`` runs them on the package's one job
+runner, ``core.run_jobs``: the calling thread plus helper threads started
+for the call, one worker per usable CPU and no more workers than jobs, since
+numpy draws and compares without holding the GIL. Each worker claims the
+next job in index order and adds its event counts to its own integer
+totals, so integer sums make the bytes the same for any number of CPUs and
+any thread schedule.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from __future__ import annotations
 import math
 import operator
 import os
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -63,7 +63,7 @@ import numpy as np
 from numpy.random import SFC64, Generator, SeedSequence
 
 from .analysis import _cell
-from .core import as_floats
+from .core import as_floats, run_jobs
 
 _CI_Z = 1.96  # 95% Wilson score interval
 # Trials per chunk, and so per substream: 128 KB of statistics, for any l_s.
@@ -168,9 +168,9 @@ def estimate_cells(cells: Sequence[tuple[float, float]], mc: McConfig) -> list[M
     job; the jobs are ordered by the dwell's first cell, then by chunk, and a
     job's index maps to its (dwell, chunk) by division, so no job list is
     built.
-    The calling thread runs jobs too, beside one helper thread per further
-    usable CPU. The first job to fail, in that order, raises here as it
-    would from a loop over the jobs; no job starts after a failure, and no
+    ``run_jobs`` runs the jobs on the calling thread and one helper thread
+    per further usable CPU, and raises the first job to fail, in that order,
+    as a loop over the jobs would; no job starts after a failure, and no
     helper thread outlives the call, an interrupt included. A worker holds
     one chunk at a time, so memory grows with the workers, not the trials.
     """
@@ -182,47 +182,18 @@ def estimate_cells(cells: Sequence[tuple[float, float]], mc: McConfig) -> list[M
     streams = list(dwells.items())
     chunks = -(-mc.trials // _CHUNK_TRIALS)
     jobs = len(streams) * chunks
-    if not jobs:
-        return []
-    claim = threading.Lock()
-    pending = iter(range(jobs))
-    stop = threading.Event()
-    failures: list[tuple[int, BaseException]] = []  # (job index, its error)
+
+    def count(totals: list[int], job: int) -> None:
+        stream, chunk = divmod(job, chunks)
+        l_s, members = streams[stream]
+        counts = _count_events((l_s, chunk, mc, members))
+        for (cell, _, _), (alarms, misses) in zip(members, counts):
+            totals[2 * cell] += alarms
+            totals[2 * cell + 1] += misses
+
     # Worker w's totals: slot 2i holds cell i's false alarms, slot 2i + 1 its misses.
     per_worker = [[0] * (2 * len(cells)) for _ in range(min(jobs, _usable_cpus()))]
-
-    def work(totals: list[int]) -> None:
-        while not stop.is_set():
-            with claim:
-                index = next(pending, None)
-            if index is None:
-                break
-            stream, chunk = divmod(index, chunks)
-            l_s, members = streams[stream]
-            try:
-                counts = _count_events((l_s, chunk, mc, members))
-            except BaseException as exc:  # on a helper thread it would be lost
-                failures.append((index, exc))
-                stop.set()
-                break
-            for (cell, _, _), (alarms, misses) in zip(members, counts):
-                totals[2 * cell] += alarms
-                totals[2 * cell + 1] += misses
-
-    helpers: list[threading.Thread] = []
-    try:
-        for totals in per_worker[1:]:
-            helper = threading.Thread(target=work, args=(totals,))
-            helper.start()
-            helpers.append(helper)
-        work(per_worker[0])
-    finally:
-        stop.set()
-        for helper in helpers:
-            helper.join()
-    if failures:
-        # Every job ahead of the first failure in job order has run.
-        raise min(failures, key=lambda failure: failure[0])[1]
+    run_jobs(jobs, count, per_worker)
     # The counts are numpy integers; the rates are Python floats.
     n = mc.trials
     rates = [float(sum(slot)) / n for slot in zip(*per_worker)]

@@ -61,3 +61,63 @@ def closed_forms_reference(l_s, phi_w, dps: int = 40):
         alpha = mp.gammainc(l_s, x1 + l_s * log_term, mp.inf, regularized=True)
         beta = mp.gammainc(l_s, 0, x1, regularized=True)
         return alpha, beta, l_s * (log_term - phi / (1 + phi))
+
+
+def chernoff_information(phi, dps: int = 40):
+    """C(phi) between the per-sample laws Exp(1) and Exp(1 + phi), as an mpf.
+
+    With theta = 1 + phi, C = max over s in [0, 1] of
+    (1 - s) ln theta + ln(s + (1 - s) / theta), attained at ``_optimal_s``
+    (Cover & Thomas, Elements of Information Theory, section 11.9). For
+    large l_s, ln xi ~ -l_s C(phi_w) (Chernoff 1952).
+    """
+    with mp.workdps(dps):
+        theta = 1 + mpf(phi)
+        s = _optimal_s(theta)
+        return (1 - s) * mp.log(theta) + mp.log(s + (1 - s) / theta)
+
+
+def _optimal_s(theta):
+    """s* = ((1 - 1/theta) / ln theta - 1/theta) / (1 - 1/theta), where C's exponent peaks."""
+    return ((1 - 1 / theta) / mp.log(theta) - 1 / theta) / (1 - 1 / theta)
+
+
+def _bisect(f, lo, hi, dps: int):
+    """The root of ``f`` in [lo, hi], where f(lo) > 0 > f(hi), by bisection to ``dps`` digits."""
+    with mp.workdps(dps + 10):
+        lo, hi = mpf(lo), mpf(hi)
+        while hi - lo > lo * mpf(10) ** (-dps - 5):
+            mid = (lo + hi) / 2
+            if f(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
+
+
+def chernoff_snr(dps: int = 40):
+    """phi_C*, the SNR that maximizes C(phi) / phi, as an mpf.
+
+    Along a sweep phi_w = c m and l_s = L / m, so ln xi ~ -L c C(phi) / phi:
+    the best sector count puts the SNR where phi C'(phi) = C(phi). C' is
+    the phi-derivative of C's exponent at s*, by the envelope theorem:
+    (1 - s*) / theta * (1 - 1 / (theta s* + 1 - s*)).
+    """
+    def slope_gap(phi):
+        theta = 1 + phi
+        s = _optimal_s(theta)
+        derivative = (1 - s) / theta * (1 - 1 / (theta * s + 1 - s))
+        return phi * derivative - chernoff_information(phi, mp.dps)
+
+    return _bisect(slope_gap, 0.5, 20, dps)
+
+
+def kl_snr(dps: int = 40):
+    """phi_KL*, the SNR that maximizes kl(phi) / phi, as an mpf.
+
+    kl(phi) = ln(1 + phi) - phi / (1 + phi) is the per-sample divergence
+    the closed forms write as ``kl_exact / l_s``; its maximum over phi puts
+    phi^2 / (1 + phi)^2 = kl(phi).
+    """
+    return _bisect(lambda phi: (phi / (1 + phi)) ** 2 - mp.log1p(phi) + phi / (1 + phi),
+                   0.1, 100, dps)

@@ -551,6 +551,79 @@ class TestHugeDwellResolution:
         assert [np.unique(chunk).size for chunk in draws] == [1224, 159, 18]
 
 
+class TestValidatePower:
+    """Which defects validate catches: its exit codes with a closed form or a threshold scaled.
+
+    Each entry is validate's exit codes at seeds 42, 7 and 1234 (default
+    trials), with the closed form scaled where the command reads it; 3 means
+    the defect was caught. fig2's cells have alpha from 4.3e-40 to 2.5e-7, so
+    1e5 trials count no event and every defect passes. A change that gains
+    or loses power changes an entry here; it is meant to, and names it.
+    """
+
+    SEEDS = (42, 7, 1234)
+    CELLS = {
+        "default grid": [],
+        "fig2 m=1,4,8,40": ["--config", FIG2_CFG, "--set", "m=1,4,8,40"],
+        "fig3 m=1,31,67": ["--config", FIG3_CFG, "--set", "m=1,31,67"],
+        "(4, 10)": ["--set", "l_s=4", "--set", "phi_w=10"],
+    }
+    # The closed form each column scales, and by how much; the first is unscaled.
+    DEFECTS = [
+        ("false_alarm", 1.0), ("false_alarm", 1.2), ("false_alarm", 2.0),
+        ("miss_detection", 1.2), ("miss_detection", 2.0), ("false_alarm", 0.5),
+    ]
+    TABLE = {  # correct, alpha*1.2, alpha*2, beta*1.2, beta*2, alpha*0.5
+        "default grid": ["000", "333", "333", "333", "333", "333"],
+        "fig2 m=1,4,8,40": ["000", "000", "000", "000", "000", "000"],
+        "fig3 m=1,31,67": ["000", "333", "333", "333", "333", "333"],
+        "(4, 10)": ["000", "000", "333", "333", "333", "333"],
+    }
+
+    def exit_codes(self, out, cells, seeds) -> str:
+        return "".join(
+            str(main(["validate", *cells, "--seed", str(seed), "--out", str(out)]))
+            for seed in seeds
+        )
+
+    def test_exit_codes_are_the_table(self, tmp_path, monkeypatch):
+        table = {}
+        for name, cells in self.CELLS.items():
+            table[name] = []
+            for closed_form, scale in self.DEFECTS:
+                original = getattr(cli, closed_form)
+                monkeypatch.setattr(
+                    cli, closed_form, lambda *args, f=original, s=scale: f(*args) * s
+                )
+                table[name].append(self.exit_codes(tmp_path / "val.csv", cells, self.SEEDS))
+                monkeypatch.setattr(cli, closed_form, original)
+        assert table == self.TABLE
+
+    def test_a_threshold_defect_passes_unseen(self, tmp_path, monkeypatch):
+        # x0 * 1.3 and x1 * 0.8 in the one threshold kernel, which the closed
+        # forms and the Monte Carlo share: both move together, so validate
+        # checks the incomplete-gamma evaluation, not the detector's test.
+        thresholds = analysis._thresholds
+        alpha = analysis.false_alarm(4.0, 10.0)
+
+        def scaled(l_s, phi_w):
+            log_term, x0, x1 = thresholds(l_s, phi_w)
+            return log_term, x0 * 1.3, x1 * 0.8
+
+        monkeypatch.setattr(analysis, "_thresholds", scaled)
+        row = {name: self.exit_codes(tmp_path / "val.csv", cells, self.SEEDS)
+               for name, cells in self.CELLS.items()}
+        assert row == dict.fromkeys(self.CELLS, "000")
+        # The defect reached the rows: (4, 10)'s alpha is not the closed form's.
+        (written,) = csv_rows(tmp_path / "val.csv")
+        assert float(written["alpha"]) != alpha
+
+    def test_correct_closed_forms_pass_at_twenty_seeds(self, tmp_path):
+        codes = {name: self.exit_codes(tmp_path / "val.csv", cells, range(20))
+                 for name, cells in self.CELLS.items()}
+        assert codes == dict.fromkeys(self.CELLS, "0" * 20)
+
+
 class TestValidateConcurrency:
     """validate runs its Monte Carlo chunks concurrently, with bytes that do not depend on it."""
 
@@ -1277,6 +1350,17 @@ class TestWriteAtomic:
             assert main(["sweep-m", "--config", FIG3_CFG, "--out", str(out)]) == 0
         assert long.read_bytes() == short.read_bytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted([long.name, short.name])
+
+    def test_a_name_too_long_fails_before_any_row_is_made(self, tmp_path, monkeypatch, capsys):
+        # A 256-byte name: the rename once found it too long after the whole
+        # curve was formatted and staged.
+        out = tmp_path / ("a" * 252 + ".csv")
+        made = []
+        monkeypatch.setattr(cli, "record_blocks", lambda *args: made.append(args) or iter([]))
+        assert main(["sweep-m", "--config", FIG3_CFG, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: [Errno 36] File name too long: '{out}'\n"
+        assert made == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_target_in_current_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from beamsweep.core import (
     dbm_to_watt,
     make_sweep_plan,
     path_loss,
+    run_jobs,
 )
 
 # Frozen from a high-precision evaluation of (c / (4 pi f_c))^2 / d^2 at
@@ -270,6 +273,147 @@ class TestThresholdFactors:
         with pytest.raises(ValueError):
             analysis.miss_detection(4.0, -0.1)
 
+
+
+class TestRunJobs:
+    """The one job runner: every job once, the first failure in job order, no stray thread."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_every_job_runs_once_on_its_workers_state(self, workers):
+        states = [[] for _ in range(workers)]
+        threads = threading.active_count()
+        # Frequent thread switches, so a job claimed twice or lost shows.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_jobs(2000, lambda ran, job: ran.append(job), states)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(job for ran in states for job in ran) == list(range(2000))
+        # Each worker claims jobs in index order.
+        assert all(ran == sorted(ran) for ran in states)
+        assert threading.active_count() == threads
+
+    def test_no_jobs_run_no_work(self):
+        calls = []
+        run_jobs(0, lambda state, job: calls.append(job), [])
+        run_jobs(0, lambda state, job: calls.append(job), [None, None])
+        assert calls == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_helper_thread_per_further_state(self, monkeypatch, workers):
+        # Each helper holds its first job until the calling thread has run
+        # one, so the calling thread is always one of the workers.
+        caller, caller_ran = threading.get_ident(), threading.Event()
+        ran, started = [], []
+        start = threading.Thread.start
+
+        def work(state, job):
+            ran.append(threading.get_ident())
+            if ran[-1] == caller:
+                caller_ran.set()
+            else:
+                caller_ran.wait(timeout=10)
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        run_jobs(6, work, [None] * workers)
+        assert len(started) == workers - 1
+        assert caller in ran
+        assert len(ran) == 6
+
+    def test_no_job_starts_after_a_failure(self):
+        ran = []
+
+        def work(state, job):
+            ran.append(job)
+            if job == 2:
+                raise RuntimeError("third job")
+
+        with pytest.raises(RuntimeError, match="third job"):
+            run_jobs(10, work, [None])
+        assert ran == [0, 1, 2]
+
+    @pytest.mark.parametrize("first_in_time", [1, 3])
+    def test_first_failure_in_job_order_raises(self, first_in_time):
+        # Three workers, and jobs 1 and 3 fail while both run, one 50 ms
+        # after the other. Whichever fails first in time, job 1's error is
+        # the one raised.
+        running = {1: threading.Event(), 3: threading.Event()}
+        failed = threading.Event()
+
+        def work(state, job):
+            if job not in running:
+                return
+            running[job].set()
+            if job == first_in_time:
+                running[4 - job].wait(timeout=10)
+                failed.set()
+            else:
+                failed.wait(timeout=10)
+                time.sleep(0.05)
+            raise RuntimeError(f"job {job}")
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="job 1"):
+            run_jobs(4, work, [None] * 3)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("raiser", ["calling", "helper"])
+    def test_interrupt_on_either_thread_propagates(self, raiser):
+        # Two workers, each holding a job: one thread's job raises
+        # KeyboardInterrupt, and the other's outlasts it by 50 ms, so a helper
+        # left unjoined shows.
+        caller = threading.get_ident()
+        holding, interrupted = threading.Event(), threading.Event()
+
+        def work(state, job):
+            if (threading.get_ident() == caller) == (raiser == "calling"):
+                holding.wait(timeout=10)
+                interrupted.set()
+                raise KeyboardInterrupt
+            holding.set()
+            interrupted.wait(timeout=10)
+            time.sleep(0.05)
+
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            run_jobs(4, work, [None, None])
+        assert interrupted.is_set()
+        assert threading.active_count() == threads
+
+    def test_failed_thread_start_joins_the_started_helper(self, monkeypatch):
+        # Three workers, and the second helper cannot start: the first, whose
+        # job outlasts the failed start by 50 ms, is joined before the error
+        # leaves the call, and neither it nor the calling thread starts
+        # another job.
+        start = threading.Thread.start
+        holding, refused = threading.Event(), threading.Event()
+        started, ran = [], []
+
+        def work(state, job):
+            ran.append(job)
+            holding.set()
+            refused.wait(timeout=10)
+            time.sleep(0.05)
+
+        def failing_start(thread):
+            if started:
+                holding.wait(timeout=10)
+                refused.set()
+                raise RuntimeError("can't start new thread")
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", failing_start)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            run_jobs(6, work, [None] * 3)
+        assert threading.active_count() == threads
+        assert ran == [0]
 
 def _phi(cfg: ScenarioConfig) -> float:
     return make_sweep_plan(cfg, 1)[1]

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 from scipy.special import gammainc, gammaincc
 
 from beamsweep.analysis import (
@@ -18,6 +19,7 @@ from beamsweep.analysis import (
 from beamsweep.core import ScenarioConfig, make_sweep_plan
 from beamsweep.optimizer import SweepCurve, sweep_sectors
 from beamsweep.presets import PRESET_VALUES, build_scenario, fig2_config, fig3_config
+from oracles import chernoff_information, chernoff_snr, kl_snr
 
 # Optimum of the small-budget preset, pinned by a pre-build evaluation with
 # an independent incomplete-gamma implementation.
@@ -78,6 +80,78 @@ class TestLargeBudgetCurve:
         assert curve.m_star == 1
         assert all(b >= a for a, b in zip(xs, xs[1:]))
 
+
+
+class TestChernoffOptimum:
+    """The sector count that the Chernoff information predicts, as an oracle for m_star.
+
+    Along a sweep phi_w = c m and l_s = L / m. For large l_s,
+    ln xi ~ -l_s C(phi_w) = -L c C(phi) / phi, so the best sector count puts
+    the SNR at phi_C*, the maximum of C(phi) / phi, whatever the scenario:
+    m_C = phi_C* / c. The same argument with the exact divergence gives
+    phi_KL*.
+    """
+
+    @staticmethod
+    def wide_fig3(l_total):
+        """fig3 on a 4,096-antenna array over the whole visible range: c = phi_C* / 89.48."""
+        values = {**PRESET_VALUES["fig3"], "n_antennas": 4096, "theta_t": 2, "l_total": l_total}
+        return build_scenario(values)
+
+    def test_chernoff_information_is_the_maximum_over_s(self):
+        # C(phi) = max over s of (1 - s) ln theta + ln(s + (1 - s) / theta),
+        # with the maximizer found by findroot rather than in closed form.
+        with mp.workdps(30):
+            for phi in (1e-3, 0.3, 1.0, 3.5, 10.0, 1e3, 1e6):
+                theta = 1 + mpf(phi)
+
+                def exponent(s, theta=theta):
+                    return (1 - s) * mp.log(theta) + mp.log(s + (1 - s) / theta)
+
+                s = mp.findroot(lambda s: mp.diff(exponent, s), (0.01, 0.99), solver="anderson")
+                assert abs(exponent(s) - chernoff_information(phi)) <= 1e-12 * exponent(s)
+
+    def test_optimal_snrs_are_the_maxima_over_phi(self):
+        # Each constant against findroot on the numerical derivative of the
+        # ratio it maximizes.
+        with mp.workdps(30):
+            phi_c = mp.findroot(
+                lambda phi: mp.diff(lambda q: chernoff_information(q, 80) / q, phi), 3.5
+            )
+            phi_kl = mp.findroot(
+                lambda phi: mp.diff(lambda q: (mp.log1p(q) - q / (1 + q)) / q, phi), 2.0
+            )
+            assert abs(chernoff_snr() - phi_c) <= 1e-12
+            assert abs(kl_snr() - phi_kl) <= 1e-12
+        assert (round(float(chernoff_snr()), 10), round(float(kl_snr()), 10)) == (
+            3.5415936305, 2.1625815871
+        )
+
+    @pytest.mark.parametrize("l_total", [10**4, 10**5])
+    def test_m_star_is_next_to_the_chernoff_sector_count(self, l_total):
+        cfg = self.wide_fig3(l_total)
+        m_c = float(chernoff_snr()) / make_sweep_plan(cfg, 1)[1]
+        assert m_c == pytest.approx(89.48, abs=0.01)
+        assert sweep_sectors(cfg).m_star in (math.floor(m_c), math.ceil(m_c))
+
+    def test_m_star_where_xi_underflows_is_pinned_wrong(self):
+        # At l_total = 1e6 every xi near the optimum underflows to 0, and the
+        # first minimum of the curve is the first row that does, far from
+        # the 89 or 90 that m_C predicts. A log-domain kernel for the tails
+        # should turn this pin into the true optimum.
+        curve = sweep_sectors(self.wide_fig3(10**6))
+        assert (curve.m_star, curve.xi_star) == (5, 0.0)
+
+    def test_the_exponent_approaches_the_chernoff_information(self):
+        # ln xi* / l_s + C(phi_w) at the optimum: -0.104, -0.020 and -0.0030.
+        gaps = []
+        for l_total in (10**3, 10**4, 10**5):
+            curve = sweep_sectors(self.wide_fig3(l_total))
+            best = curve.m_star - 1
+            l_s, phi_w = curve.analysis.l_sector[best], curve.analysis.phi_w[best]
+            gaps.append(math.log(curve.xi_star) / l_s + float(chernoff_information(phi_w)))
+        assert all(abs(later) < abs(earlier) for earlier, later in zip(gaps, gaps[1:]))
+        assert abs(gaps[-1]) < 0.005
 
 class TestEdgeCases:
     def test_single_feasible_sector(self):

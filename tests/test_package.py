@@ -75,3 +75,16 @@ def test_every_ci_selection_term_names_a_test():
         for term in re.split(r"\s+(?:or|and)\s+|\bnot\s+|[()]", expression):
             if term.strip():
                 assert any(term.strip().lower() in name for name in names), (path, term)
+
+
+def test_the_monte_carlo_runs_on_the_one_job_runner():
+    # Threads, their claim lock and their joins live in core.run_jobs alone.
+    tree = ast.parse(inspect.getsource(beamsweep.montecarlo))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module)
+    assert "threading" not in imported
+    assert beamsweep.montecarlo.run_jobs is beamsweep.core.run_jobs
